@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,15 +151,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  ue::StackProfile profile = ue::StackProfile::cls();
-  if (profile_name == "srsue") {
-    profile = ue::StackProfile::srsue();
-  } else if (profile_name == "oai") {
-    profile = ue::StackProfile::oai();
-  } else if (profile_name != "cls") {
+  const std::optional<ue::StackProfile> found = ue::StackProfile::by_name(profile_name);
+  if (!found) {
     std::fprintf(stderr, "unknown profile %s\n", profile_name.c_str());
     return 2;
   }
+  const ue::StackProfile& profile = *found;
 
   std::vector<RunSample> runs;
   std::string reference;

@@ -21,11 +21,10 @@
 //
 // --rtt-ms M adds the RTT-amortization sweep for the wire-v3 word protocol:
 // the same workload through a chaos proxy that delays every chunk ~M ms, once
-// per protocol shape — per-symbol (--batch 0), word-level (batch 1), and
-// batched (the negotiated batch, default 16). On loopback the RTT is ~zero
-// and all three shapes tie; with a real RTT the per-symbol shape pays
-// 2·(|word|+1) delays per query and the batched shape amortizes two delays
-// across a whole batch, which is the point of wire v3.
+// per protocol shape — word-level (batch 1) and batched (--batch N, default
+// 16). On loopback the RTT is ~zero and the shapes tie; with a real RTT the
+// word-level shape pays two delays per query and the batched shape amortizes
+// two delays across a whole batch, which is the point of wire v3.
 //
 // --journal measures what the crash-safe learn journal (DESIGN.md §15) costs
 // where it matters: a full supervised learn over the word protocol through a
@@ -157,7 +156,7 @@ ClientsSample run_clients(int clients, const Workload& w,
 }
 
 struct RttRow {
-  int batch = 0;  // 0 = per-symbol v2 protocol, 1 = one kQueryWord per word
+  int batch = 1;  // 1 = one kQueryWord per word
   double seconds = 0;
   double queries_per_sec = 0;
   long server_resets = 0;  // what prefix-sorted execution actually saved
@@ -370,7 +369,8 @@ int main(int argc, char** argv) {
       clients_override = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--rtt-ms") == 0 && i + 1 < argc) {
       rtt_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc &&
+               std::atoi(argv[i + 1]) >= 1) {
       batch_size = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--journal") == 0) {
       journal_mode = true;
@@ -468,8 +468,7 @@ int main(int argc, char** argv) {
   }
 
   // RTT-amortization sweep (wire v3). A smaller sub-workload keeps the
-  // per-symbol row tolerable: at M ms per chunk it pays ~2·(|word|+1)·M ms
-  // per query.
+  // word-level row tolerable: at M ms per chunk it pays ~2·M ms per query.
   std::vector<RttRow> rtt_rows;
   if (rtt_ms > 0) {
     Workload rw = w;
@@ -483,16 +482,14 @@ int main(int argc, char** argv) {
                 rw.words.size());
     std::printf("%-22s %10s %12s %10s %10s %9s\n", "protocol shape", "seconds",
                 "queries/s", "resets", "steps", "speedup");
-    const std::vector<int> shapes = {0, 1, batch_size > 1 ? batch_size : 16};
+    const std::vector<int> shapes = {1, batch_size > 1 ? batch_size : 16};
     double base_qps = 0;
     for (int b : shapes) {
       rtt_rows.push_back(run_rtt_row(b, rtt_ms, rw, profile));
       const RttRow& r = rtt_rows.back();
-      if (b == 0) base_qps = r.queries_per_sec;
+      if (b == 1) base_qps = r.queries_per_sec;
       char name[48];
-      if (b == 0) {
-        std::snprintf(name, sizeof(name), "per-symbol (batch=0)");
-      } else if (b == 1) {
+      if (b == 1) {
         std::snprintf(name, sizeof(name), "word-level (batch=1)");
       } else {
         std::snprintf(name, sizeof(name), "batched    (batch=%d)", b);

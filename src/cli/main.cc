@@ -80,7 +80,7 @@ int usage() {
                " [options]\n"
                "  instrument <source-file> [--header <header-file>]\n"
                "  conformance --profile <cls|srsue|oai> [--log <file>] [--remote <host:port>]"
-               " [--batch <N>]\n"
+               " [--psk <key>]\n"
                "  extract --profile <cls|srsue|oai> [--log <file>] [--dot] [--basic]"
                " [--recovery]\n"
                "  analyze --profile <cls|srsue|oai> [--properties <ids>]"
@@ -95,15 +95,12 @@ int usage() {
                " [--idle-timeout <S>]\n"
                "            [--drain-seconds <S>] [--stats]\n"
                "  learn --profile <cls|srsue|oai> [--remote <host:port>] [--psk <key>]"
-               " [--seed <S>] [--dot] [--batch <N>]\n"
+               " [--seed <S>] [--dot]\n"
                "        [--journal <file>] [--resume <file>] [--arbitrate <k/n>]"
                " [--deadline <S>] [--retries <N>]\n"
-               "        (--batch 0 forces the per-symbol v2 protocol; default offers"
-               " a 16-word batch;\n"
-               "         --resume continues a killed run from its journal;"
+               "        (--resume continues a killed run from its journal;"
                " --arbitrate 0/0 disables k-of-n re-querying)\n"
-               "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]"
-               " [--batch <N>]\n"
+               "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]\n"
                "       [--max-pairs <N>] [--max-states <N>]"
                " [--deadline-per-property <S>] [--retries <N>]\n"
                "       (sides: profile:<cls|srsue|oai>, log:[<profile>:]<path>,"
@@ -112,33 +109,12 @@ int usage() {
   return 2;
 }
 
-/// Splits "host:port"; nullopt on malformation.
-std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text) {
-  std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    unsigned long port = std::stoul(text.substr(colon + 1), &pos);
-    if (pos != text.size() - colon - 1 || port == 0 || port > 65535) return std::nullopt;
-    return std::make_pair(text.substr(0, colon), static_cast<std::uint16_t>(port));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-std::optional<ue::StackProfile> profile_by_name(const std::string& name) {
-  if (name == "cls") return ue::StackProfile::cls();
-  if (name == "srsue") return ue::StackProfile::srsue();
-  if (name == "oai") return ue::StackProfile::oai();
-  return std::nullopt;
 }
 
 struct Args {
@@ -232,28 +208,18 @@ int cmd_instrument(const Args& args) {
   return 0;
 }
 
-// --batch N: words offered per kQueryBatch in the v3 hello (0 = force the
-// per-symbol v2 protocol). nullopt on a malformed value.
-std::optional<int> parse_batch(const Args& args, int dflt) {
-  if (!args.has("batch")) return dflt;
-  auto v = parse_u64(args.get("batch"));
-  if (!v || *v > net::kMaxBatchWords) return std::nullopt;
-  return static_cast<int>(*v);
-}
-
 // --remote host:port: differential conformance against a serve-sul endpoint
 // (scripted flows; expectations from the local reference stack). Exit 0 when
 // every scenario passes, 1 on behavioral divergence, 3 when the transport
 // degraded and verdicts are inconclusive.
 int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& endpoint,
-                           const std::string& psk, int batch_words) {
-  auto ep = parse_endpoint(endpoint);
+                           const std::string& psk) {
+  auto ep = net::parse_endpoint(endpoint);
   if (!ep) return bad_option("remote", endpoint);
   net::RemoteSulOptions ropts;
   ropts.host = ep->first;
   ropts.port = ep->second;
   ropts.psk = psk;
-  ropts.max_batch_words = batch_words;
   net::RemoteUeSul sul(ropts);
   net::RemoteConformanceReport report = net::run_remote_conformance(profile, sul);
   std::fputs(report.render().c_str(), stdout);
@@ -268,9 +234,7 @@ int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& e
 
 int cmd_conformance(ue::StackProfile profile, const Args& args) {
   if (args.has("remote")) {
-    auto batch = parse_batch(args, net::kDefaultBatchWords);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"), *batch);
+    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"));
   }
   instrument::TraceLogger trace;
   testing::ConformanceReport report = testing::run_conformance(profile, trace);
@@ -553,34 +517,27 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
 
   learner::SupervisedLearn run;
   if (args.has("remote")) {
-    auto ep = parse_endpoint(args.get("remote"));
+    auto ep = net::parse_endpoint(args.get("remote"));
     if (!ep) return bad_option("remote", args.get("remote"));
     net::RemoteSulOptions ropts;
     ropts.host = ep->first;
     ropts.port = ep->second;
     ropts.psk = args.get("psk");
     ropts.heartbeat_seconds = 0.5;
-    auto batch = parse_batch(args, net::kDefaultBatchWords);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    ropts.max_batch_words = *batch;
     net::RemoteUeSul sul(ropts);
     run = learner::learn_supervised(sul, sup);
     net::RemoteSulStats stats = sul.stats();
     std::fprintf(stderr,
-                 "transport: %ld connects (%ld re), %ld framing errors, %ld timeouts,"
-                 " %ld nondeterministic queries\n",
-                 stats.connects, stats.reconnects, stats.framing_errors, stats.rpc_timeouts,
-                 stats.nondeterministic_queries);
+                 "transport: %ld connects (%ld re), %ld framing errors, %ld timeouts\n",
+                 stats.connects, stats.reconnects, stats.framing_errors, stats.rpc_timeouts);
     std::fprintf(stderr,
-                 "breaker: %s (%ld opens, %ld half-open probes, %ld cache fallbacks,"
-                 " %ld unavailable answers)\n",
+                 "breaker: %s (%ld opens, %ld half-open probes, %ld unavailable answers)\n",
                  std::string(net::to_string(sul.breaker())).c_str(), stats.breaker_opens,
-                 stats.breaker_probes, stats.cache_fallbacks, stats.unavailable_answers);
+                 stats.breaker_probes, stats.unavailable_answers);
     std::fprintf(stderr,
-                 "batching: negotiated %d words, %ld batches (%ld words), %ld word"
-                 " queries, %ld word resyncs\n",
+                 "batching: negotiated %d words, %ld batches (%ld words), %ld word queries\n",
                  sul.negotiated_batch_words(), stats.batch_queries, stats.batched_words,
-                 stats.word_queries, stats.word_resyncs);
+                 stats.word_queries);
     // Structured server refusals (busy, draining, auth_failed, quota trips,
     // upgrade_required) surface here so an inconclusive run names its cause.
     const std::string reason = sul.last_close_reason();
@@ -704,11 +661,6 @@ int cmd_diff(const Args& args) {
 
   diff::SourceOptions src;
   src.psk = args.get("psk");
-  if (args.has("batch")) {
-    auto batch = parse_batch(args, -1);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    src.batch_words = *batch;
-  }
   if (args.has("seed")) {
     auto v = parse_u64(args.get("seed"));
     if (!v) return bad_option("seed", args.get("seed"));
@@ -770,7 +722,7 @@ int cmd_diff(const Args& args) {
 // does it once and hands the handler a concrete StackProfile (by value —
 // analyze patches mitigation knobs into its copy).
 int with_profile(const Args& args, int (*handler)(ue::StackProfile, const Args&)) {
-  auto profile = profile_by_name(args.get("profile"));
+  auto profile = ue::StackProfile::by_name(args.get("profile"));
   if (!profile) return usage();
   return handler(std::move(*profile), args);
 }

@@ -33,9 +33,8 @@
 namespace procheck::diff {
 
 struct SourceOptions {
-  /// PSK and batch negotiation for remote: sides.
+  /// PSK for remote: sides.
   std::string psk;
-  int batch_words = -1;  // <0 = transport default
   std::uint64_t learn_seed = 0xC0FFEE;
 };
 

@@ -371,8 +371,8 @@ class JournaledSul final : public Sul {
   }
 
   /// k-of-n arbitration of a contradicted word. All n samples are fresh
-  /// (Sul::query_word_fresh bypasses any transport vote cache — a cache
-  /// would echo one answer n times and rig the vote). Outcomes:
+  /// (Sul::query_word_fresh executes each sample anew — a cached answer
+  /// echoed n times would rig the vote). Outcomes:
   ///   majority agrees with the committed edges — the fresh answer was the
   ///   outlier; commit the majority word and continue;
   ///   majority overturns a committed edge — rewrite every committed record

@@ -13,8 +13,8 @@
 //     continues byte-identically from any kill point;
 //   * nondeterminism arbitration: when a fresh answer contradicts an edge
 //     the journal already committed, the word is re-queried k-of-n (default
-//     3-of-5) through Sul::query_word_fresh (bypassing any transport vote
-//     cache), the majority is committed — rewriting the contradicted journal
+//     3-of-5) through Sul::query_word_fresh (a fresh execution per sample,
+//     never a cached answer), the majority is committed — rewriting the contradicted journal
 //     records and restarting the learn when the *committed* edge loses —
 //     and cells with no k-majority are quarantined into a structured
 //     inconclusive result instead of silently keeping the first observation;

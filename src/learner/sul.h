@@ -75,12 +75,13 @@ class Sul {
   virtual std::vector<std::vector<std::string>> query_batch(
       const std::vector<std::vector<std::string>>& words);
 
-  /// Answers one membership query with a *fresh* execution, bypassing any
-  /// answer cache the implementation keeps. The learning supervisor's
-  /// nondeterminism arbitration samples contested words k-of-n through this
-  /// path — a vote cache that echoed one cached answer n times would rig
-  /// the vote. Base implementation: query_word() (the in-process harness
-  /// has no cache, so every query is already fresh).
+  /// Answers one membership query with a *fresh* execution, never from an
+  /// answer cache. The learning supervisor's nondeterminism arbitration
+  /// samples contested words k-of-n through this path — a cache that echoed
+  /// one answer n times would rig the vote. Base implementation: query_word()
+  /// (neither the in-process harness nor the remote transport caches
+  /// answers, so every query is already fresh); decorators override it to
+  /// observe the sampling.
   virtual std::vector<std::string> query_word_fresh(
       const std::vector<std::string>& word);
 

@@ -18,19 +18,22 @@ void sleep_seconds(double s) {
   if (s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-/// True when the v3 codec can carry this word verbatim: the fallback for an
-/// exotic symbol is the per-symbol path, never a lossy re-encoding.
-bool word_encodable(const std::vector<std::string>& word) {
-  if (word.size() > kMaxWordSymbols) return false;
-  for (const std::string& s : word) {
-    if (s.empty() || s.size() > kMaxSymbolChars) return false;
-    for (const char c : s) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-      if (!ok) return false;
-    }
+/// Batch frames allowed in flight before query_batch waits on an ack (acks
+/// come back in request order, so the window just hides RTTs).
+constexpr std::size_t kMaxInflightBatches = 4;
+static_assert(kMaxWordSymbols <= kMaxBatchSymbols, "every sendable word fits one batch");
+
+/// Why the v3 codec cannot carry this word verbatim ("" when it can). Such a
+/// word is refused, never re-encoded lossily.
+std::string unsendable_reason(const std::vector<std::string>& word) {
+  if (word.size() > kMaxWordSymbols) {
+    return "word of " + std::to_string(word.size()) + " symbols exceeds the " +
+           std::to_string(kMaxWordSymbols) + "-symbol wire bound";
   }
-  return true;
+  for (const std::string& s : word) {
+    if (!encodable_symbol(s)) return "symbol '" + s + "' is not encodable on the wire";
+  }
+  return "";
 }
 
 }  // namespace
@@ -49,6 +52,8 @@ std::string_view to_string(BreakerState state) {
 
 RemoteUeSul::RemoteUeSul(RemoteSulOptions options)
     : options_(options), jitter_(options.seed) {
+  options_.max_batch_words =
+      std::clamp(options_.max_batch_words, 1, static_cast<int>(kMaxBatchWords));
   if (options_.heartbeat_seconds > 0) {
     heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
   }
@@ -75,7 +80,6 @@ void RemoteUeSul::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   ++resets_;
   word_.clear();
-  server_synced_ = false;  // the reset frame rides with the next step
 }
 
 long RemoteUeSul::resets() const {
@@ -110,9 +114,13 @@ std::string RemoteUeSul::last_close_reason() const {
 
 std::string RemoteUeSul::unavailable_reason() const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (!refusal_.empty()) return refusal_;
   if (!last_close_reason_.empty()) return "server said: " + last_close_reason_;
   if (stats_.connect_failures > 0 && stats_.connects == 0) return "server unreachable";
-  return "";
+  if (stats_.unavailable_answers == 0) return "";
+  return "link failed: " + std::to_string(stats_.rpc_timeouts) + " timeouts, " +
+         std::to_string(stats_.framing_errors) + " framing errors, breaker " +
+         std::string(to_string(breaker_));
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +167,6 @@ void RemoteUeSul::record_success_locked() {
 void RemoteUeSul::drop_connection_locked() {
   conn_.close();
   reader_.reset();
-  server_synced_ = false;
 }
 
 bool RemoteUeSul::connect_locked(double budget_seconds) {
@@ -172,19 +179,11 @@ bool RemoteUeSul::connect_locked(double budget_seconds) {
   reader_.reset();
   ++epoch_;  // stale answers from the dead link can never match again
   seq_ = 0;
-  server_synced_ = false;
   ++stats_.connects;
   if (stats_.connects > 1) ++stats_.reconnects;
 
-  // A v3 hello may carry a batch offer; a server (or test fake) that echoes
-  // no grant in the ack keeps this connection on the per-symbol path.
-  const std::string hello_payload =
-      options_.max_batch_words > 0
-          ? with_batch_token("prochecker-learner",
-                             std::min<int>(options_.max_batch_words,
-                                           static_cast<int>(kMaxBatchWords)))
-          : "prochecker-learner";
-  auto ack = rpc_locked(FrameType::kHello, hello_payload);
+  auto ack = rpc_locked(FrameType::kHello,
+                        with_batch_token("prochecker-learner", options_.max_batch_words));
   if (ack && ack->type == FrameType::kChallenge) {
     // PSK handshake: prove key possession with a MAC over the server's fresh
     // nonce and our epoch. An empty PSK still answers (with a wrong MAC) so
@@ -197,7 +196,7 @@ bool RemoteUeSul::connect_locked(double budget_seconds) {
     drop_connection_locked();
     return false;
   }
-  negotiated_batch_ = options_.max_batch_words > 0 ? parse_batch_token(ack->payload) : 0;
+  negotiated_batch_ = parse_batch_token(ack->payload);
   server_profile_ = strip_batch_token(ack->payload);
   return true;
 }
@@ -278,236 +277,74 @@ std::optional<Frame> RemoteUeSul::await_ack_locked(std::uint32_t seq) {
   return std::nullopt;
 }
 
-std::optional<std::string> RemoteUeSul::live_step_locked(double backoff_scale) {
-  if (!breaker_allows_locked()) return std::nullopt;
+// ---------------------------------------------------------------------------
+// Query path (wire v3 words and batches)
+// ---------------------------------------------------------------------------
 
+RemoteUeSul::Link RemoteUeSul::prepare_link_locked(double* backoff_scale) {
+  if (!breaker_allows_locked()) return Link::kGiveUp;
   if (!conn_.valid()) {
     // Jittered exponential backoff before redialing (scale grows per attempt).
-    double backoff = options_.backoff_base_seconds * backoff_scale;
-    backoff = std::min(backoff, options_.backoff_max_seconds);
-    double jittered = backoff * (0.5 + 0.5 * static_cast<double>(jitter_.next_below(1000)) / 1000.0);
-    sleep_seconds(jittered);
+    const double backoff =
+        std::min(options_.backoff_base_seconds * *backoff_scale, options_.backoff_max_seconds);
+    sleep_seconds(backoff * (0.5 + 0.5 * static_cast<double>(jitter_.next_below(1000)) / 1000.0));
+    *backoff_scale *= 2.0;
     if (!connect_locked(options_.connect_timeout_seconds)) {
       record_failure_locked();
-      return std::nullopt;
+      return breaker_ == BreakerState::kOpen ? Link::kGiveUp : Link::kRetry;
     }
   }
-
-  if (!server_synced_) {
-    // Resync: reconstruct the server state for everything but the current
-    // input. The server is deterministic, so this rebuilds its state exactly
-    // — the reason reconnect-heavy runs stay byte-identical. Replay answers
-    // are real observations and feed the vote cache too.
-    const std::vector<std::string> replay(word_.begin(), word_.end() - 1);
-    if (negotiated_batch_ > 0 && !replay.empty() && word_encodable(replay)) {
-      // Word protocol granted: the whole replay collapses into one RPC
-      // instead of 1 + |replay| round trips.
-      auto ack = rpc_locked(FrameType::kQueryWord, encode_word(replay));
-      const auto outs =
-          ack && ack->type == FrameType::kWordAck ? decode_word(ack->payload) : std::nullopt;
-      if (!outs || outs->size() != replay.size()) {
-        record_failure_locked();
-        return std::nullopt;
-      }
-      ++stats_.word_resyncs;
-      vote_word_locked(replay, *outs);
-    } else {
-      auto ack = rpc_locked(FrameType::kReset, "");
-      if (!ack || ack->type != FrameType::kResetAck) {
-        record_failure_locked();
-        return std::nullopt;
-      }
-      for (std::size_t i = 0; i + 1 < word_.size(); ++i) {
-        auto step_ack = rpc_locked(FrameType::kStep, word_[i]);
-        if (!step_ack || step_ack->type != FrameType::kStepAck) {
-          record_failure_locked();
-          return std::nullopt;
-        }
-        std::vector<std::string> prefix(word_.begin(),
-                                        word_.begin() + static_cast<std::ptrdiff_t>(i + 1));
-        VoteBox& box = vote_cache_[prefix];
-        if (!box.votes.empty() && box.votes.count(step_ack->payload) == 0 && !box.disagreed) {
-          box.disagreed = true;
-          ++stats_.nondeterministic_queries;
-        }
-        ++box.votes[step_ack->payload];
-      }
-    }
-    server_synced_ = true;
+  if (negotiated_batch_ <= 0) {
+    refusal_ = "server granted no word batch in its hello-ack (wire v3 required)";
+    return Link::kGiveUp;
   }
+  return Link::kReady;
+}
 
-  auto ack = rpc_locked(FrameType::kStep, word_.back());
-  if (!ack || ack->type != FrameType::kStepAck) {
-    record_failure_locked();
+std::optional<std::vector<std::string>> RemoteUeSul::word_query_locked(
+    const std::vector<std::string>& word) {
+  if (std::string why = unsendable_reason(word); !why.empty()) {
+    refusal_ = std::move(why);
     return std::nullopt;
   }
-  record_success_locked();
-  return ack->payload;
-}
-
-// ---------------------------------------------------------------------------
-// Majority-vote cache
-// ---------------------------------------------------------------------------
-
-std::string RemoteUeSul::vote_and_answer_locked(const std::string& observed) {
-  VoteBox& box = vote_cache_[word_];
-  if (!box.votes.empty() && box.votes.count(observed) == 0 && !box.disagreed) {
-    box.disagreed = true;
-    ++stats_.nondeterministic_queries;
-  }
-  ++box.votes[observed];
-  // Majority answer; ties break toward the lexicographically smallest symbol
-  // so the result is deterministic run-to-run.
-  const std::string* best = nullptr;
-  int best_count = -1;
-  for (const auto& [symbol, count] : box.votes) {
-    if (count > best_count) {
-      best = &symbol;
-      best_count = count;
+  double backoff_scale = 1.0;
+  for (int attempt = 0; attempt < options_.attempts_per_query; ++attempt) {
+    const Link link = prepare_link_locked(&backoff_scale);
+    if (link == Link::kGiveUp) break;
+    if (link == Link::kRetry) continue;
+    auto ack = rpc_locked(FrameType::kQueryWord, encode_word(word));
+    auto outs =
+        ack && ack->type == FrameType::kWordAck ? decode_word(ack->payload) : std::nullopt;
+    if (outs && outs->size() == word.size()) {
+      record_success_locked();
+      ++stats_.word_queries;
+      return outs;
     }
+    record_failure_locked();
+    backoff_scale *= 2.0;
+    if (breaker_ == BreakerState::kOpen) break;  // stop hammering a dead server
   }
-  return best ? *best : observed;
+  return std::nullopt;
 }
-
-std::optional<std::string> RemoteUeSul::cached_answer_locked() const {
-  auto it = vote_cache_.find(word_);
-  if (it == vote_cache_.end() || it->second.votes.empty()) return std::nullopt;
-  const std::string* best = nullptr;
-  int best_count = -1;
-  for (const auto& [symbol, count] : it->second.votes) {
-    if (count > best_count) {
-      best = &symbol;
-      best_count = count;
-    }
-  }
-  return *best;
-}
-
-// ---------------------------------------------------------------------------
-// The Sul interface
-// ---------------------------------------------------------------------------
 
 std::string RemoteUeSul::step(const std::string& input) {
   std::lock_guard<std::mutex> lock(mu_);
   ++steps_;
   word_.push_back(input);
-
-  double backoff_scale = 1.0;
-  for (int attempt = 0; attempt < options_.attempts_per_query; ++attempt) {
-    auto out = live_step_locked(backoff_scale);
-    if (out) return vote_and_answer_locked(*out);
-    backoff_scale *= 2.0;
-    if (breaker_ == BreakerState::kOpen) break;  // stop hammering a dead server
-  }
-
-  // The transport is beyond help for now. A replayed query (reconnect storm)
-  // can still be answered from the vote cache; a novel one degrades to the
-  // structured unavailable symbol the learner converts into "inconclusive".
-  if (auto cached = cached_answer_locked()) {
-    ++stats_.cache_fallbacks;
-    return *cached;
-  }
+  if (auto outs = word_query_locked(word_)) return outs->back();
   ++stats_.unavailable_answers;
   return learner::kSulUnavailable;
 }
 
-// ---------------------------------------------------------------------------
-// Word-level protocol (wire v3)
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> RemoteUeSul::vote_word_locked(const std::vector<std::string>& word,
-                                                       const std::vector<std::string>& outputs) {
-  std::vector<std::string> answers;
-  answers.reserve(word.size());
-  std::vector<std::string> prefix;
-  prefix.reserve(word.size());
-  for (std::size_t i = 0; i < word.size() && i < outputs.size(); ++i) {
-    prefix.push_back(word[i]);
-    VoteBox& box = vote_cache_[prefix];
-    if (!box.votes.empty() && box.votes.count(outputs[i]) == 0 && !box.disagreed) {
-      box.disagreed = true;
-      ++stats_.nondeterministic_queries;
-    }
-    ++box.votes[outputs[i]];
-    // Majority per position, ties toward the smallest symbol — identical to
-    // what vote_and_answer_locked would have returned step by step.
-    const std::string* best = nullptr;
-    int best_count = -1;
-    for (const auto& [symbol, count] : box.votes) {
-      if (count > best_count) {
-        best = &symbol;
-        best_count = count;
-      }
-    }
-    answers.push_back(best ? *best : outputs[i]);
-  }
-  return answers;
-}
-
-RemoteUeSul::WordRpc RemoteUeSul::word_query_locked(const std::vector<std::string>& word,
-                                                    std::vector<std::string>* answers,
-                                                    bool raw) {
-  if (options_.max_batch_words <= 0 || !word_encodable(word)) return WordRpc::kDenied;
-
-  double backoff_scale = 1.0;
-  for (int attempt = 0; attempt < options_.attempts_per_query; ++attempt) {
-    if (!breaker_allows_locked()) break;
-    if (!conn_.valid()) {
-      double backoff = options_.backoff_base_seconds * backoff_scale;
-      backoff = std::min(backoff, options_.backoff_max_seconds);
-      sleep_seconds(backoff *
-                    (0.5 + 0.5 * static_cast<double>(jitter_.next_below(1000)) / 1000.0));
-      backoff_scale *= 2.0;
-      if (!connect_locked(options_.connect_timeout_seconds)) {
-        record_failure_locked();
-        if (breaker_ == BreakerState::kOpen) break;
-        continue;
-      }
-    }
-    if (negotiated_batch_ <= 0) return WordRpc::kDenied;  // server kept us on v2
-
-    auto ack = rpc_locked(FrameType::kQueryWord, encode_word(word));
-    const auto outs =
-        ack && ack->type == FrameType::kWordAck ? decode_word(ack->payload) : std::nullopt;
-    if (outs && outs->size() == word.size()) {
-      record_success_locked();
-      server_synced_ = false;  // the server SUL now sits at this word's end state
-      ++resets_;
-      steps_ += static_cast<long>(word.size());
-      ++stats_.word_queries;
-      *answers = raw ? *outs : vote_word_locked(word, *outs);
-      return WordRpc::kOk;
-    }
-    record_failure_locked();
-    backoff_scale *= 2.0;
-    if (breaker_ == BreakerState::kOpen) break;
-  }
-  return WordRpc::kFailed;
-}
-
 std::vector<std::string> RemoteUeSul::query_word(const std::vector<std::string>& word) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> answers;
-    if (word_query_locked(word, &answers) == WordRpc::kOk) return answers;
-  }
-  // Denied or failed: the per-symbol path already encodes every retry,
-  // breaker, vote-cache, and degradation rule, so falling back preserves
-  // byte-identity (and a hard outage still degrades to kSulUnavailable).
-  return Sul::query_word(word);
-}
-
-std::vector<std::string> RemoteUeSul::query_word_fresh(
-    const std::vector<std::string>& word) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> answers;
-    if (word_query_locked(word, &answers, /*raw=*/true) == WordRpc::kOk) return answers;
-  }
-  // No word protocol (or the link is down): the per-symbol path is the only
-  // transport left. Its vote cache cannot be bypassed per-call, so the
-  // sample is as fresh as the wire allows.
-  return Sul::query_word(word);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++resets_;
+  steps_ += static_cast<long>(word.size());
+  if (auto outs = word_query_locked(word)) return *outs;
+  // The structured unavailable symbol the learner converts into
+  // "inconclusive".
+  ++stats_.unavailable_answers;
+  return std::vector<std::string>(word.size(), learner::kSulUnavailable);
 }
 
 void RemoteUeSul::batch_rpc_locked(
@@ -515,33 +352,20 @@ void RemoteUeSul::batch_rpc_locked(
     std::map<std::vector<std::string>, std::vector<std::string>>* answered) {
   std::vector<std::vector<std::string>> remaining;
   for (const auto& w : words) {
-    if (word_encodable(w) && !w.empty()) remaining.push_back(w);
+    if (!w.empty() && unsendable_reason(w).empty()) remaining.push_back(w);
   }
 
   double backoff_scale = 1.0;
   for (int attempt = 0; attempt < options_.attempts_per_query && !remaining.empty();
        ++attempt) {
-    if (!breaker_allows_locked()) break;
-    if (!conn_.valid()) {
-      double backoff = options_.backoff_base_seconds * backoff_scale;
-      backoff = std::min(backoff, options_.backoff_max_seconds);
-      sleep_seconds(backoff *
-                    (0.5 + 0.5 * static_cast<double>(jitter_.next_below(1000)) / 1000.0));
-      backoff_scale *= 2.0;
-      if (!connect_locked(options_.connect_timeout_seconds)) {
-        record_failure_locked();
-        if (breaker_ == BreakerState::kOpen) break;
-        continue;
-      }
-    }
-    if (negotiated_batch_ <= 0) return;  // denied: caller finishes per word
+    const Link link = prepare_link_locked(&backoff_scale);
+    if (link == Link::kGiveUp) break;
+    if (link == Link::kRetry) continue;
 
     // Chunk the remaining words by the negotiated count and the codec's
-    // total-symbol bound, keeping up to max_inflight_batches frames in the
+    // total-symbol bound, keeping up to kMaxInflightBatches frames in the
     // air; acks come back in request order.
     const std::size_t cap = static_cast<std::size_t>(negotiated_batch_);
-    const std::size_t window =
-        static_cast<std::size_t>(std::max(1, options_.max_inflight_batches));
     std::deque<std::pair<std::uint32_t, std::vector<std::vector<std::string>>>> inflight;
     std::size_t next = 0;
     bool failed = false;
@@ -556,7 +380,6 @@ void RemoteUeSul::batch_rpc_locked(
         drop_connection_locked();  // the server answered something we never asked
         return false;
       }
-      server_synced_ = false;
       ++stats_.batch_queries;
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         const BatchItem& item = (*items)[i];
@@ -564,13 +387,14 @@ void RemoteUeSul::batch_rpc_locked(
         ++resets_;
         steps_ += static_cast<long>(chunk[i].size());
         ++stats_.batched_words;
-        (*answered)[chunk[i]] = vote_word_locked(chunk[i], item.outputs);
+        (*answered)[chunk[i]] = item.outputs;
       }
       return true;
     };
 
     while (next < remaining.size() || !inflight.empty()) {
-      while (next < remaining.size() && inflight.size() < window && conn_.valid()) {
+      while (next < remaining.size() && inflight.size() < kMaxInflightBatches &&
+             conn_.valid()) {
         std::vector<std::vector<std::string>> chunk;
         std::size_t symbols = 0;
         while (next < remaining.size() && chunk.size() < cap &&
@@ -578,10 +402,6 @@ void RemoteUeSul::batch_rpc_locked(
           symbols += remaining[next].size();
           chunk.push_back(remaining[next]);
           ++next;
-        }
-        if (chunk.empty()) {  // a single word over the symbol bound: skip it
-          ++next;
-          continue;
         }
         std::uint32_t seq = 0;
         if (!send_frame_locked(FrameType::kQueryBatch, encode_batch(chunk), &seq)) {
@@ -623,12 +443,12 @@ std::vector<std::vector<std::string>> RemoteUeSul::query_batch(
   }
   std::map<std::vector<std::string>, std::vector<std::string>> answered;
 
-  if (options_.max_batch_words > 0 && unique.size() > 1) {
+  if (unique.size() > 1) {
     std::lock_guard<std::mutex> lock(mu_);
     batch_rpc_locked(unique, &answered);
   }
-  // Anything a batch could not carry (denied protocol, transport failure,
-  // unencodable symbols) finishes through query_word's full fallback chain.
+  // Anything a batch could not carry (transport failure, unsendable words)
+  // finishes through query_word's retry and degradation rules.
   for (const auto& w : unique) {
     if (answered.count(w) == 0) answered[w] = query_word(w);
   }

@@ -1,26 +1,27 @@
 // Fault-tolerant remote SUL client (DESIGN.md §12).
 //
-// RemoteUeSul implements the learner::Sul interface over the framed wire
-// protocol, absorbing every transport fault the chaos proxy (or a real
-// network) can throw at it:
+// RemoteUeSul implements the learner::Sul interface as a plain
+// membership-query oracle over the framed wire protocol: every answer is one
+// whole word shipped as a kQueryWord (or a kQueryBatch of words). It absorbs
+// every transport fault the chaos proxy (or a real network) can throw at it:
 //
 //   * per-call deadlines — no call ever blocks past its budget;
 //   * reconnect with jittered exponential backoff, bumping the epoch so a
-//     stale answer from a dead link is discarded, never consumed;
-//   * state resync after reconnect: reset() is lazy (no I/O), and the live
-//     query path replays reset + the current word prefix on a fresh link,
-//     reconstructing the deterministic server state exactly — which is why
-//     learning over a lossy-but-not-lying channel stays byte-identical to an
-//     in-process run;
+//     stale answer from a dead link is discarded, never consumed. A word is
+//     a whole query (reset + symbols), so a retried word rebuilds the
+//     deterministic server state exactly — which is why learning over a
+//     lossy-but-not-lying channel stays byte-identical to an in-process run;
 //   * a circuit breaker (closed → open → half-open probe) that stops
 //     hammering a dead server and degrades to the structured
 //     learner::kSulUnavailable output symbol — learners converge to an
 //     explicit inconclusive verdict instead of hanging or throwing;
-//   * a majority-vote answer cache keyed by the word prefix: repeated
-//     queries vote, disagreement flags the SUT as nondeterministic in the
-//     stats, and replays during reconnect storms can be answered from cache;
 //   * an optional heartbeat thread that pings the idle link so a silently
 //     dead connection is detected before the next query stalls on it.
+//
+// A word the wire cannot carry (a symbol outside the codec's charset, more
+// than kMaxWordSymbols symbols, or a server that granted no word batch)
+// degrades to kSulUnavailable with an unavailable_reason(); there is no
+// second transport to fall back on.
 //
 // Thread-safety: all client state lives under one mutex shared by the query
 // path and the heartbeat thread; the TSan suite pins this.
@@ -61,7 +62,7 @@ struct RemoteSulOptions {
   /// Reconnect backoff: base * 2^attempt, jittered, capped at max.
   double backoff_base_seconds = 0.01;
   double backoff_max_seconds = 0.25;
-  /// Transport attempts per step() before degrading to kSulUnavailable.
+  /// Transport attempts per query before degrading to kSulUnavailable.
   int attempts_per_query = 3;
 
   /// Circuit breaker: consecutive transport failures before opening, and how
@@ -72,15 +73,10 @@ struct RemoteSulOptions {
   /// Heartbeat period for the keepalive thread; 0 disables it.
   double heartbeat_seconds = 0.0;
 
-  /// Words offered per kQueryBatch in the hello negotiation; 0 disables the
-  /// v3 word protocol entirely (pure per-symbol v2 behavior). The server
-  /// grants min(offer, its own cap) and echoes the grant in the hello-ack;
-  /// a server that echoes no grant (v2, or a test fake) silently keeps the
-  /// client on the per-symbol path.
+  /// Words offered per kQueryBatch in the hello negotiation, clamped to
+  /// [1, kMaxBatchWords]. The server grants min(offer, its own cap) and
+  /// echoes the grant in the hello-ack.
   int max_batch_words = kDefaultBatchWords;
-  /// Batch frames allowed in flight before query_batch waits on an ack
-  /// (acks come back in request order, so the window just hides RTTs).
-  int max_inflight_batches = 4;
 
   /// Jitter seed (deterministic backoff for reproducible tests).
   std::uint64_t seed = 0x5EEDF00D;
@@ -95,9 +91,7 @@ struct RemoteSulStats {
   long stale_frames = 0;        // answers from a previous epoch, discarded
   long breaker_opens = 0;
   long breaker_probes = 0;      // half-open trial queries
-  long unavailable_answers = 0; // steps degraded to kSulUnavailable
-  long cache_fallbacks = 0;     // answered from the vote cache during outage
-  long nondeterministic_queries = 0;  // votes disagreed for a word prefix
+  long unavailable_answers = 0; // queries degraded to kSulUnavailable
   long heartbeats = 0;
   long heartbeat_failures = 0;
   long auth_challenges = 0;     // kChallenge frames answered
@@ -106,7 +100,6 @@ struct RemoteSulStats {
   long word_queries = 0;        // whole words answered over kQueryWord
   long batch_queries = 0;       // kQueryBatch frames acked
   long batched_words = 0;       // words answered inside those batches
-  long word_resyncs = 0;        // reconnect resyncs collapsed to one word RPC
 };
 
 /// Circuit-breaker state (exposed for tests and status lines).
@@ -121,41 +114,31 @@ class RemoteUeSul final : public learner::Sul {
   RemoteUeSul(const RemoteUeSul&) = delete;
   RemoteUeSul& operator=(const RemoteUeSul&) = delete;
 
-  /// Lazy: clears the logical word and marks the server out-of-sync; the
-  /// actual reset frame rides with the next step (no I/O here, so a dead
-  /// server cannot stall reset storms).
+  /// Lazy: clears the current word (no I/O here, so a dead server cannot
+  /// stall reset storms).
   void reset() override;
 
-  /// One abstract input. Never throws, never blocks past the attempt budget;
-  /// degrades to learner::kSulUnavailable when the transport is beyond help.
+  /// One abstract input: a word query of every input since the last reset().
+  /// The server continues its live execution when a word extends the one it
+  /// just ran, so a step walk costs one server step per call. Never throws,
+  /// never blocks past the attempt budget.
   std::string step(const std::string& input) override;
 
-  /// Whole membership query in one kQueryWord round trip when the server
-  /// granted the word protocol; otherwise (or on transport failure) it falls
-  /// back to the per-symbol path, which already encodes every retry, vote,
-  /// and degradation rule — so answers are byte-identical either way.
+  /// Whole membership query in one kQueryWord round trip, retried under the
+  /// backoff/breaker rules; degrades to kSulUnavailable in every position.
   std::vector<std::string> query_word(const std::vector<std::string>& word) override;
 
   /// Deduplicates the words, ships the distinct ones as pipelined kQueryBatch
-  /// frames (up to max_inflight_batches in the air), and finishes any word a
-  /// failed batch left unanswered through query_word's fallback chain.
+  /// frames, and finishes any word a failed batch left unanswered through
+  /// query_word.
   std::vector<std::vector<std::string>> query_batch(
       const std::vector<std::vector<std::string>>& words) override;
-
-  /// One fresh kQueryWord round trip whose raw server answer is returned
-  /// as-is — it neither consults nor feeds the majority-vote cache. The
-  /// learning supervisor's k-of-n arbitration samples through this: the
-  /// cache's job is to *smooth* flapping, which is exactly what a vote must
-  /// not see. Falls back to the per-symbol path when the server never
-  /// granted the word protocol.
-  std::vector<std::string> query_word_fresh(
-      const std::vector<std::string>& word) override;
 
   long resets() const override;
   long steps() const override;
 
   /// Batch capacity granted by the server in the last hello-ack (0 before
-  /// first contact or when the server kept us on the per-symbol path).
+  /// first contact).
   int negotiated_batch_words() const;
 
   RemoteSulStats stats() const;
@@ -165,17 +148,15 @@ class RemoteUeSul final : public learner::Sul {
   std::string server_profile() const;
 
   /// Reason string from the last structured kClose / kServerBusy frame the
-  /// server sent ("" if none yet). Surfaced through unavailable_reason() so
-  /// `learn --remote` can print *why* a run went inconclusive.
+  /// server sent ("" if none yet).
   std::string last_close_reason() const;
+  /// Why queries degraded: a word the wire cannot carry, else the server's
+  /// close reason, else an unreachable server, else the link's failure
+  /// counts ("" while nothing degraded). `learn --remote` prints it when a
+  /// run goes inconclusive.
   std::string unavailable_reason() const override;
 
  private:
-  struct VoteBox {
-    std::map<std::string, int> votes;
-    bool disagreed = false;
-  };
-
   // All private helpers assume mu_ is held.
   bool breaker_allows_locked();
   void record_failure_locked();
@@ -185,25 +166,20 @@ class RemoteUeSul final : public learner::Sul {
   bool send_frame_locked(FrameType type, const std::string& payload, std::uint32_t* seq_out);
   std::optional<Frame> await_ack_locked(std::uint32_t seq);
   std::optional<Frame> rpc_locked(FrameType type, const std::string& payload);
-  std::optional<std::string> live_step_locked(double backoff_scale);
-  std::string vote_and_answer_locked(const std::string& observed);
-  std::optional<std::string> cached_answer_locked() const;
 
-  /// Feeds every proper prefix's observed output into the vote cache and
-  /// returns the majority answer per position — exactly what a per-symbol
-  /// run of the same word would have produced (the byte-identity invariant).
-  std::vector<std::string> vote_word_locked(const std::vector<std::string>& word,
-                                            const std::vector<std::string>& outputs);
+  /// The prologue of every query attempt: the breaker gate, then (on a dead
+  /// link) a jittered backoff and a redial. kRetry burns the attempt.
+  enum class Link : std::uint8_t { kReady, kRetry, kGiveUp };
+  Link prepare_link_locked(double* backoff_scale);
 
-  /// One word over kQueryWord, with the step() retry/backoff/breaker rules.
-  /// `raw` skips the vote cache entirely (arbitration sampling); the default
-  /// feeds the observed outputs through it for run-to-run answer stability.
-  enum class WordRpc : std::uint8_t { kOk, kDenied, kFailed };
-  WordRpc word_query_locked(const std::vector<std::string>& word,
-                            std::vector<std::string>* answers, bool raw = false);
+  /// One word over kQueryWord under the retry/backoff/breaker rules; nullopt
+  /// when it could not be answered (refusal_ names a word the wire cannot
+  /// carry).
+  std::optional<std::vector<std::string>> word_query_locked(
+      const std::vector<std::string>& word);
   /// Best-effort pipelined batches over the distinct `words`; every answered
-  /// word lands in `*answered`. Words left behind (denied protocol, failed
-  /// link, unencodable symbols) are the caller's to finish per-word.
+  /// word lands in `*answered`. Words left behind (failed link, unsendable
+  /// words) are the caller's to finish per word.
   void batch_rpc_locked(const std::vector<std::vector<std::string>>& words,
                         std::map<std::vector<std::string>, std::vector<std::string>>* answered);
 
@@ -216,17 +192,16 @@ class RemoteUeSul final : public learner::Sul {
   FrameReader reader_;
   std::uint32_t epoch_ = 0;
   std::uint32_t seq_ = 0;
-  bool server_synced_ = false;  // server holds reset+word_ state for epoch_
   std::vector<std::string> word_;  // inputs since the last reset()
   std::string server_profile_;
   std::string last_close_reason_;
-  int negotiated_batch_ = 0;  // words per batch the server granted (0 = denied)
+  std::string refusal_;       // why the last unsendable word was refused
+  int negotiated_batch_ = 0;  // words per batch the server granted
 
   BreakerState breaker_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
   std::chrono::steady_clock::time_point breaker_opened_at_{};
 
-  std::map<std::vector<std::string>, VoteBox> vote_cache_;
   Rng jitter_;
 
   long resets_ = 0;

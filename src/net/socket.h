@@ -9,10 +9,15 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/bytes.h"
 
 namespace procheck::net {
+
+/// Splits "host:port" (the last ':' separates); nullopt on a missing host
+/// or a port outside 1..65535.
+std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text);
 
 /// One TCP connection. Movable, not copyable; the destructor closes the fd.
 class TcpConn {

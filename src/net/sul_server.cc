@@ -322,10 +322,10 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     *close_reason = "protocol_error";
     return false;
   }
-  // Version gate: a legacy (pre-auth) v1 client gets a structured upgrade
-  // notice and a closed socket — never a half-open connection. v2 clients
-  // are served per-symbol; a v3 hello may additionally offer a batch
-  // capacity, granted below and echoed in the hello-ack.
+  // Version gate: a legacy v1 (pre-auth) or v2 (per-symbol) client gets a
+  // structured upgrade notice and a closed socket — never a half-open
+  // connection. A v3 hello may offer a batch capacity, granted below and
+  // echoed in the hello-ack.
   if (hello.version < kMinServedVersion) {
     send_control(conn, session_id, FrameType::kClose, kReasonUpgradeRequired, hello.epoch,
                  hello.seq);
@@ -334,12 +334,8 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     *close_reason = kReasonUpgradeRequired;
     return false;
   }
-  if (hello.version >= 3) {
-    const int offered = parse_batch_token(hello.payload);
-    if (offered > 0) {
-      *batch_words = std::min(offered, kDefaultBatchWords);
-    }
-  }
+  const int offered = parse_batch_token(hello.payload);
+  *batch_words = offered > 0 ? std::min(offered, kDefaultBatchWords) : kDefaultBatchWords;
 
   // The final hello-ack answers the last client frame of the handshake — the
   // hello in open mode, the auth response in PSK mode — so the client's
@@ -384,8 +380,8 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     ack_seq = auth.seq;
   }
 
-  // The ack payload is exactly the profile name for v2 clients; a granted
-  // batch offer rides as a " batch=N" suffix the v3 client strips back off.
+  // The granted batch rides as a " batch=N" suffix on the profile name; the
+  // client strips it back off.
   send_control(conn, session_id, FrameType::kHelloAck,
                with_batch_token(profile_.name, *batch_words), ack_epoch, ack_seq);
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -404,20 +400,25 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
   const auto session_started = Clock::now();
   auto last_activity = Clock::now();
 
-  // Word-execution state (wire v3): the inputs applied to `sul` since its
-  // last reset, with their outputs. A batch sorted into prefix order makes
-  // consecutive words share prefixes, so a word whose predecessor is a full
-  // prefix continues stepping from the live state instead of resetting —
-  // that's the reset amortization the prefix_hits counter measures.
+  // Word-execution state: the inputs applied to `sul` since its last reset,
+  // with their outputs. A word whose predecessor is a full prefix continues
+  // stepping from the live state instead of resetting — that's the reset
+  // amortization the prefix_hits counter measures, and what keeps a client's
+  // step-by-step walk (each step a word one symbol longer) at one server
+  // step per call.
   std::vector<std::string> exec_inputs;
   std::vector<std::string> exec_outputs;
   bool exec_valid = false;  // sul state == initial state + exec_inputs applied
 
+  auto continues_live = [&](const std::vector<std::string>& word) {
+    return exec_valid && exec_inputs.size() <= word.size() &&
+           std::equal(exec_inputs.begin(), exec_inputs.end(), word.begin());
+  };
+
   auto run_word = [&](const std::vector<std::string>& word, long* resets_done,
                       long* steps_done, long* prefix_continuations) {
     std::size_t keep = 0;
-    if (exec_valid && exec_inputs.size() <= word.size() &&
-        std::equal(exec_inputs.begin(), exec_inputs.end(), word.begin())) {
+    if (continues_live(word)) {
       keep = exec_inputs.size();
     } else {
       sul.reset();
@@ -439,7 +440,7 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     return outputs;
   };
 
-  // Malformed or oversized v3 payloads get a structured per-request refusal;
+  // Malformed or oversized payloads get a structured per-request refusal;
   // the session survives — a refused request touched no SUL state.
   auto refuse = [&](const Frame& req, const char* reason) {
     send_control(conn, session_id, FrameType::kError, reason, req.epoch, req.seq);
@@ -447,30 +448,30 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     ++stats_.batch_refusals;
   };
 
+  // A structured close in answer to `req`, counted by `counter`.
+  auto close_with = [&](const Frame& req, const char* reason, long SulServerStats::*counter) {
+    send_control(conn, session_id, FrameType::kClose, reason, req.epoch, req.seq);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(stats_.*counter);
+    return std::string(reason);
+  };
+  const Frame unsolicited;  // epoch/seq 0: a close that answers no request
+
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return "server_stop";
 
     // Wall-clock quota and drain deadline are time-based: check every poll.
     if (options_.max_session_seconds > 0 &&
         seconds_since(session_started) > options_.max_session_seconds) {
-      send_control(conn, session_id, FrameType::kClose, kReasonQuotaWall, 0, 0);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.quota_trips;
-      return kReasonQuotaWall;
+      return close_with(unsolicited, kReasonQuotaWall, &SulServerStats::quota_trips);
     }
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining && seconds_since(drain_started_) > options_.drain_deadline_seconds) {
-      send_control(conn, session_id, FrameType::kClose, kReasonDrained, 0, 0);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.drained_closes;
-      return kReasonDrained;
+      return close_with(unsolicited, kReasonDrained, &SulServerStats::drained_closes);
     }
     if (options_.idle_timeout_seconds > 0 &&
         seconds_since(last_activity) > options_.idle_timeout_seconds) {
-      send_control(conn, session_id, FrameType::kClose, kReasonIdleTimeout, 0, 0);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.reaped_idle;
-      return kReasonIdleTimeout;
+      return close_with(unsolicited, kReasonIdleTimeout, &SulServerStats::reaped_idle);
     }
 
     Frame req;
@@ -493,38 +494,6 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     }
     last_activity = Clock::now();
 
-    const bool is_app_request =
-        req.type == FrameType::kReset || req.type == FrameType::kStep ||
-        req.type == FrameType::kQueryWord || req.type == FrameType::kQueryBatch;
-
-    // Drain: the next word boundary is where an in-flight word is provably
-    // finished — for the per-symbol protocol that's the next reset, for the
-    // word protocol every word/batch frame *is* a boundary. Close there with
-    // a structured reason instead of starting another word.
-    if (draining && (req.type == FrameType::kReset || req.type == FrameType::kQueryWord ||
-                     req.type == FrameType::kQueryBatch)) {
-      send_control(conn, session_id, FrameType::kClose, kReasonDrained, req.epoch, req.seq);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.drained_closes;
-      return kReasonDrained;
-    }
-
-    // Per-session query and byte quotas, checked before the request mutates
-    // the SUL so a quota-tripped session never half-applies a word.
-    if (is_app_request && options_.max_session_queries > 0) {
-      long session_requests;
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        session_requests = sessions_[static_cast<std::size_t>(session_id)].requests;
-      }
-      if (session_requests >= options_.max_session_queries) {
-        send_control(conn, session_id, FrameType::kClose, kReasonQuotaQueries, req.epoch,
-                     req.seq);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.quota_trips;
-        return kReasonQuotaQueries;
-      }
-    }
     if (options_.max_session_bytes > 0) {
       long bytes_in;
       {
@@ -532,73 +501,34 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         bytes_in = sessions_[static_cast<std::size_t>(session_id)].bytes_in;
       }
       if (bytes_in > options_.max_session_bytes) {
-        send_control(conn, session_id, FrameType::kClose, kReasonQuotaBytes, req.epoch,
-                     req.seq);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.quota_trips;
-        return kReasonQuotaBytes;
+        return close_with(req, kReasonQuotaBytes, &SulServerStats::quota_trips);
       }
     }
-
-    // Per-request execution tallies: quota/kill accounting runs in logical
-    // reset+step units (a word costs 1 + its length regardless of how many
-    // resets the prefix-sorted execution actually saved), while resets_done/
-    // steps_done count the SUL work really performed.
-    long app_cost = 0;
-    long resets_done = 0;
-    long steps_done = 0;
-    long prefix_continuations = 0;
-    long words_served = 0;
-    bool is_word_query = false;
-    bool is_batch_query = false;
 
     Frame ack;
     ack.epoch = req.epoch;
     ack.seq = req.seq;
+    std::vector<std::vector<std::string>> words;  // a word or batch request's words
     switch (req.type) {
       case FrameType::kHello:
         // A repeated hello inside a live session is harmless: re-ack.
         ack.type = FrameType::kHelloAck;
         ack.payload = with_batch_token(profile_.name, batch_words);
         break;
-      case FrameType::kReset:
-        sul.reset();
-        exec_inputs.clear();
-        exec_outputs.clear();
-        exec_valid = true;
-        app_cost = 1;
-        resets_done = 1;
-        ack.type = FrameType::kResetAck;
-        break;
-      case FrameType::kStep:
-        ack.type = FrameType::kStepAck;
-        ack.payload = sul.step(req.payload);
-        if (exec_valid) {
-          exec_inputs.push_back(req.payload);
-          exec_outputs.push_back(ack.payload);
-        }
-        app_cost = 1;
-        steps_done = 1;
-        break;
       case FrameType::kQueryWord: {
-        const auto word = decode_word(req.payload);
+        auto word = decode_word(req.payload);
         if (!word) {
           refuse(req, kReasonBadWord);
           continue;
         }
-        is_word_query = true;
-        app_cost = 1 + static_cast<long>(word->size());
+        words.push_back(std::move(*word));
         ack.type = FrameType::kWordAck;
-        ack.payload =
-            encode_word(run_word(*word, &resets_done, &steps_done, &prefix_continuations));
         break;
       }
       case FrameType::kQueryBatch: {
-        const std::size_t cap =
-            batch_words > 0 ? static_cast<std::size_t>(batch_words)
-                            : static_cast<std::size_t>(kDefaultBatchWords);
-        const auto words = decode_batch(req.payload, kMaxBatchWords);
-        if (!words || words->size() > cap) {
+        const std::size_t cap = static_cast<std::size_t>(batch_words);
+        auto decoded = decode_batch(req.payload, kMaxBatchWords);
+        if (!decoded || decoded->size() > cap) {
           // Distinguish "too large" from "malformed" for the structured
           // refusal even when decoding bailed early: separator counts bound
           // the item/symbol totals without trusting the payload.
@@ -606,31 +536,13 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
               std::count(req.payload.begin(), req.payload.end(), ';'));
           const std::size_t commas = static_cast<std::size_t>(
               std::count(req.payload.begin(), req.payload.end(), ','));
-          const bool too_large = (words && words->size() > cap) || semis + 1 > cap ||
+          const bool too_large = (decoded && decoded->size() > cap) || semis + 1 > cap ||
                                  semis + commas + 1 > kMaxBatchSymbols;
           refuse(req, too_large ? kReasonBatchTooLarge : kReasonBadBatch);
           continue;
         }
-        is_batch_query = true;
-        words_served = static_cast<long>(words->size());
-        // Prefix-sorted execution: lexicographic order lands every word right
-        // after its longest batched prefix, so run_word continues stepping
-        // instead of resetting. Acks go back in the *request* order.
-        std::vector<std::size_t> order(words->size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-          return (*words)[a] < (*words)[b];
-        });
-        std::vector<BatchItem> items(words->size());
-        for (const std::size_t idx : order) {
-          BatchItem& item = items[idx];
-          item.ok = true;
-          item.outputs =
-              run_word((*words)[idx], &resets_done, &steps_done, &prefix_continuations);
-          app_cost += 1 + static_cast<long>((*words)[idx].size());
-        }
+        words = std::move(*decoded);
         ack.type = FrameType::kBatchAck;
-        ack.payload = encode_batch_ack(items);
         break;
       }
       case FrameType::kPing:
@@ -639,9 +551,8 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
       case FrameType::kBye:
         return "bye";  // orderly end; no ack expected
       default: {
-        // A client-side frame type the server never expects (acks, pongs,
-        // control frames): answer with a structured refusal and drop the
-        // session.
+        // A frame type the server never expects (acks, pongs, control
+        // frames): answer with a structured refusal and drop the session.
         send_control(conn, session_id, FrameType::kError,
                      "unexpected frame type: " + std::string(to_string(req.type)),
                      req.epoch, req.seq);
@@ -649,6 +560,59 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         ++stats_.protocol_errors;
         return "protocol_error";
       }
+    }
+    const bool is_app_request =
+        req.type == FrameType::kQueryWord || req.type == FrameType::kQueryBatch;
+
+    // Quota and kill accounting run in logical reset+step units: a word
+    // costs 1 + its length regardless of how many resets the prefix-sorted
+    // execution actually saved, while resets_done/steps_done count the SUL
+    // work really performed.
+    long app_cost = 0;
+    for (const auto& w : words) app_cost += 1 + static_cast<long>(w.size());
+
+    // Drain: every word or batch frame is a word boundary, so close there
+    // with a structured reason instead of starting another word. The one
+    // exception is a single word that extends the live execution — a step
+    // walk still finishing its in-flight word.
+    if (draining && is_app_request &&
+        !(req.type == FrameType::kQueryWord && continues_live(words.front()))) {
+      return close_with(req, kReasonDrained, &SulServerStats::drained_closes);
+    }
+
+    // Per-session query quota, checked before the request mutates the SUL
+    // so a quota-tripped session never half-applies a word: a request that
+    // would take the session past its budget is refused whole.
+    if (is_app_request && options_.max_session_queries > 0) {
+      long session_requests;
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        session_requests = sessions_[static_cast<std::size_t>(session_id)].requests;
+      }
+      if (session_requests + app_cost > options_.max_session_queries) {
+        return close_with(req, kReasonQuotaQueries, &SulServerStats::quota_trips);
+      }
+    }
+
+    long resets_done = 0;
+    long steps_done = 0;
+    long prefix_continuations = 0;
+    if (is_app_request) {
+      // Prefix-sorted execution: lexicographic order lands every word right
+      // after its longest prefix in the request, so run_word continues
+      // stepping instead of resetting. Acks go back in the *request* order.
+      std::vector<std::size_t> order(words.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) { return words[a] < words[b]; });
+      std::vector<BatchItem> items(words.size());
+      for (const std::size_t idx : order) {
+        items[idx].ok = true;
+        items[idx].outputs = run_word(words[idx], &resets_done, &steps_done,
+                                      &prefix_continuations);
+      }
+      ack.payload = req.type == FrameType::kQueryWord ? encode_word(items.front().outputs)
+                                                      : encode_batch_ack(items);
     }
 
     bool kill = false;
@@ -666,15 +630,14 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         s.steps += steps_done;
         stats_.prefix_hits += prefix_continuations;
         s.prefix_hits += prefix_continuations;
-        if (is_word_query) {
+        if (req.type == FrameType::kQueryWord) {
           ++stats_.word_queries;
           ++s.word_queries;
-        }
-        if (is_batch_query) {
+        } else {
           ++stats_.batch_queries;
           ++s.batch_queries;
-          stats_.batched_words += words_served;
-          s.batched_words += words_served;
+          stats_.batched_words += static_cast<long>(words.size());
+          s.batched_words += static_cast<long>(words.size());
         }
         if (options_.kill_after_requests >= 0) {
           // Threshold crossing, not equality: a word/batch advances the count

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/journal.h"  // crc32
@@ -45,14 +46,6 @@ std::string_view to_string(FrameType type) {
       return "hello";
     case FrameType::kHelloAck:
       return "hello_ack";
-    case FrameType::kReset:
-      return "reset";
-    case FrameType::kResetAck:
-      return "reset_ack";
-    case FrameType::kStep:
-      return "step";
-    case FrameType::kStepAck:
-      return "step_ack";
     case FrameType::kPing:
       return "ping";
     case FrameType::kPong:
@@ -82,8 +75,9 @@ std::string_view to_string(FrameType type) {
 }
 
 bool known_frame_type(std::uint8_t raw) {
-  return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kBatchAck);
+  // Every enumerator has a name; a retired or unassigned byte falls through
+  // to_string's switch.
+  return to_string(static_cast<FrameType>(raw)) != "?";
 }
 
 // ---------------------------------------------------------------------------
@@ -118,6 +112,11 @@ bool decode_word_into(std::string_view text, std::vector<std::string>* out) {
 }
 
 }  // namespace
+
+bool encodable_symbol(std::string_view symbol) {
+  return !symbol.empty() && symbol.size() <= kMaxSymbolChars &&
+         std::all_of(symbol.begin(), symbol.end(), valid_symbol_char);
+}
 
 std::string encode_word(const std::vector<std::string>& word) {
   std::string out;

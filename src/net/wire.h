@@ -4,14 +4,14 @@
 //
 //   u32  length L           (bytes that follow the prefix; bounds-checked)
 //   u16  magic  0x50C5
-//   u8   version (kWireVersion; v1 frames still decode so a legacy hello
+//   u8   version (kWireVersion; v1/v2 frames still decode so a legacy hello
 //                 can be answered with a structured "upgrade required"
 //                 close instead of a silent framing drop)
 //   u8   type    (FrameType)
 //   u32  epoch   (connection generation — bumped on every reconnect so a
 //                 stale answer from a previous link can never interleave)
 //   u32  seq     (per-request counter within the epoch; acks echo it)
-//   ...  payload (L - 16 bytes: the input/output symbol or error text)
+//   ...  payload (L - 16 bytes: the encoded word(s), reason, or note)
 //   u32  crc32   (IEEE, over magic..payload)
 //
 // All integers big-endian. The decoder is *total*: any byte stream either
@@ -32,8 +32,10 @@
 // query_word/word_ack ship a whole membership query (reset + word) in one
 // round trip; query_batch/batch_ack ship up to a negotiated number of words
 // per round trip with per-item status. Batch capacity is negotiated in the
-// hello exchange ("batch=N" suffixes on the hello payload / hello-ack);
-// v2 clients that never offer a batch keep working unchanged.
+// hello exchange ("batch=N" suffixes on the hello payload / hello-ack).
+// They are the only query frames: the per-symbol reset/step frames of v1/v2
+// are retired, their type bytes (3–6) decode as framing errors, and only
+// v3 sessions are served.
 #pragma once
 
 #include <cstdint>
@@ -50,40 +52,38 @@ inline constexpr std::uint16_t kWireMagic = 0x50C5;
 /// Current protocol generation: v3 = word-level batched queries on top of
 /// the v2 authenticated multi-session handshake.
 inline constexpr std::uint8_t kWireVersion = 3;
-/// Oldest version a server still *serves* (v2 per-symbol sessions keep
-/// working; only the pre-auth v1 hello is refused with upgrade_required).
-inline constexpr std::uint8_t kMinServedVersion = 2;
-/// Oldest version the decoder still *parses* (so the server can answer a v1
-/// hello with a structured upgrade-required close rather than mis-framing).
+/// Oldest version a server still *serves*: a v1 or v2 hello is refused with
+/// upgrade_required.
+inline constexpr std::uint8_t kMinServedVersion = 3;
+/// Oldest version the decoder still *parses* (so the server can answer a
+/// legacy hello with a structured upgrade-required close rather than
+/// mis-framing).
 inline constexpr std::uint8_t kMinWireVersion = 1;
 /// Fixed body bytes besides the payload (magic..seq + trailing CRC).
 inline constexpr std::size_t kFrameOverhead = 16;
-/// Payload bound: symbols, error strings, and (since v3) batched words are
-/// short; anything bigger is a corrupted length prefix and must not drive
+/// Payload bound: words, batches, and error strings are short; anything bigger is a corrupted length prefix and must not drive
 /// allocation. Sized so a maximal batch ack (kMaxBatchSymbols output symbols
 /// of kMaxSymbolChars each, plus separators and status bytes) always fits —
 /// the server never has to truncate a reply it already computed.
 inline constexpr std::size_t kMaxFramePayload = 16384;
 
+// Explicit values pin each type's byte on the wire. 3–6 carried the retired
+// per-symbol reset/step frames and their acks; they decode as kBadFrame.
 enum class FrameType : std::uint8_t {
-  kHello = 1,     // client → server: open a session (payload: client note)
-  kHelloAck,      // server → client: session admitted (payload: profile name)
-  kReset,         // client → server: reset the SUL to its initial state
-  kResetAck,      // server → client
-  kStep,          // client → server: one input symbol (payload)
-  kStepAck,       // server → client: the output symbol (payload)
-  kPing,          // keepalive probe
-  kPong,          //
-  kBye,           // orderly session end
-  kError,         // server → client: structured refusal (payload: reason)
-  kChallenge,     // server → client: PSK auth nonce (payload: hex nonce)
-  kAuthResponse,  // client → server: HMAC over nonce+epoch (payload: hex mac)
-  kServerBusy,    // server → client: admission rejected (payload: reason)
-  kClose,         // server → client: structured session teardown (reason)
-  kQueryWord,     // client → server: whole word = reset + symbols (payload)
-  kWordAck,       // server → client: the word's output symbols (payload)
-  kQueryBatch,    // client → server: up to the negotiated number of words
-  kBatchAck,      // server → client: per-item outputs or per-item refusal
+  kHello = 1,          // client → server: open a session (payload: client note)
+  kHelloAck = 2,       // server → client: session admitted (payload: profile name)
+  kPing = 7,           // keepalive probe
+  kPong = 8,           //
+  kBye = 9,            // orderly session end
+  kError = 10,         // server → client: structured refusal (payload: reason)
+  kChallenge = 11,     // server → client: PSK auth nonce (payload: hex nonce)
+  kAuthResponse = 12,  // client → server: HMAC over nonce+epoch (payload: hex mac)
+  kServerBusy = 13,    // server → client: admission rejected (payload: reason)
+  kClose = 14,         // server → client: structured session teardown (reason)
+  kQueryWord = 15,     // client → server: whole word = reset + symbols (payload)
+  kWordAck = 16,       // server → client: the word's output symbols (payload)
+  kQueryBatch = 17,    // client → server: up to the negotiated number of words
+  kBatchAck = 18,      // server → client: per-item outputs or per-item refusal
 };
 
 std::string_view to_string(FrameType type);
@@ -110,6 +110,9 @@ inline constexpr std::size_t kMaxBatchSymbols = 256;
 /// Default batch capacity a server grants when the client offers more.
 inline constexpr int kDefaultBatchWords = 16;
 
+/// True when `symbol` fits the codec: 1..kMaxSymbolChars bytes of [A-Za-z0-9_.-].
+bool encodable_symbol(std::string_view symbol);
+
 std::string encode_word(const std::vector<std::string>& word);
 std::optional<std::vector<std::string>> decode_word(std::string_view text);
 
@@ -130,7 +133,7 @@ std::optional<std::vector<BatchItem>> decode_batch_ack(std::string_view text,
 
 /// "name batch=N" suffix handling for the hello negotiation: appends the
 /// offer/grant to a hello or hello-ack payload, and parses it back out.
-/// parse returns 0 when no batch token is present (a v2 peer).
+/// parse returns 0 when no batch token is present.
 std::string with_batch_token(const std::string& base, int batch_words);
 int parse_batch_token(std::string_view payload);
 /// The payload with any " batch=N" suffix removed (the profile name / note).
@@ -142,14 +145,14 @@ inline constexpr const char* kReasonServerBusy = "server_busy";
 inline constexpr const char* kReasonDraining = "draining";
 inline constexpr const char* kReasonAuthFailed = "auth_failed";
 inline constexpr const char* kReasonUpgradeRequired =
-    "upgrade_required: protocol v2 with PSK handshake; rebuild your client";
+    "upgrade_required: protocol v3 word queries with PSK handshake; rebuild your client";
 inline constexpr const char* kReasonQuotaQueries = "quota_exceeded: queries";
 inline constexpr const char* kReasonQuotaBytes = "quota_exceeded: bytes";
 inline constexpr const char* kReasonQuotaWall = "quota_exceeded: wall_clock";
 inline constexpr const char* kReasonIdleTimeout = "idle_timeout";
 inline constexpr const char* kReasonDrained = "drained";
 inline constexpr const char* kReasonSessionError = "session_error";
-// Per-request refusal tokens for v3 word/batch queries (kError payloads; the
+// Per-request refusal tokens for word/batch queries (kError payloads; the
 // session survives them — a refused request mutated no SUL state).
 inline constexpr const char* kReasonBadWord = "bad_word";
 inline constexpr const char* kReasonBadBatch = "bad_batch";

@@ -217,7 +217,6 @@ TEST(ChaosNightly, BatchedStormIsHonestAndKeepsNegotiating) {
     threads.emplace_back([&, i] {
       RemoteSulOptions copts = client_options(proxy.port());
       copts.max_batch_words = kDefaultBatchWords;  // the batched regime, explicitly
-      copts.max_inflight_batches = 4;
       RemoteUeSul remote(copts);
       results[static_cast<std::size_t>(i)] =
           learner::learn_mealy(remote, quick_learn_options());

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/journal.h"
 #include "common/rng.h"
 #include "diff/report_json.h"
 #include "instrument/trace_log.h"
@@ -202,15 +203,15 @@ std::vector<net::Frame> frame_corpus() {
   f.seq = 1;
   f.payload = "prochecker-learner";
   corpus.push_back(f);
-  f.type = net::FrameType::kStep;
+  f.type = net::FrameType::kQueryWord;
   f.epoch = 3;
   f.seq = 42;
-  f.payload = "authentication_request";
+  f.payload = net::encode_word({"authentication_request"});
   corpus.push_back(f);
-  f.type = net::FrameType::kStepAck;
-  f.payload = "authentication_response";
+  f.type = net::FrameType::kWordAck;
+  f.payload = net::encode_word({"authentication_response"});
   corpus.push_back(f);
-  f.type = net::FrameType::kReset;
+  f.type = net::FrameType::kQueryWord;  // the empty word: a bare reset
   f.payload.clear();
   corpus.push_back(f);
   f.type = net::FrameType::kPing;
@@ -220,7 +221,7 @@ std::vector<net::Frame> frame_corpus() {
   f.type = net::FrameType::kError;
   f.payload = std::string(512, 'x');  // a fat diagnostic
   corpus.push_back(f);
-  // Wire v3 word/batch shapes: a whole-word query, a multi-word batch (with
+  // Longer word/batch shapes: a whole-word query, a multi-word batch (with
   // a duplicate and a prefix chain), and a mixed-status batch ack.
   f.type = net::FrameType::kQueryWord;
   f.epoch = 2;
@@ -247,6 +248,24 @@ std::vector<net::Frame> frame_corpus() {
   corpus.push_back(f);
   return corpus;
 }
+
+/// `frame` encoded with its type byte replaced by `raw` and the CRC re-sealed
+/// over the patched body, so only the decoder's type check can reject it.
+Bytes with_type_byte(const net::Frame& frame, std::uint8_t raw) {
+  Bytes wire = net::encode_frame(frame);
+  wire[7] = raw;
+  const std::string_view covered(reinterpret_cast<const char*>(wire.data() + 4),
+                                 wire.size() - 8);
+  const std::uint32_t crc = crc32(covered);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wire[wire.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (24 - 8 * i));
+  }
+  return wire;
+}
+
+/// The type bytes of the retired per-symbol frames (reset, reset_ack, step,
+/// step_ack).
+constexpr std::uint8_t kRetiredTypes[] = {3, 4, 5, 6};
 
 TEST(FuzzSmoke, BatchPayloadCodecsTotalAndRoundTrip) {
   // The v3 payload codecs under the same mutation pressure as the frame
@@ -331,6 +350,20 @@ TEST(FuzzSmoke, WireFrameDecodeTotalAndRoundTrips) {
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
   std::printf("[fuzz] wire frame: %zu accepted, %zu rejected\n", accepted, rejected);
+
+  // A retired per-symbol type byte under an intact CRC, on every corpus
+  // frame and at every version the decoder parses: always a detected
+  // framing error, never a decoded frame.
+  for (net::Frame frame : corpus) {
+    for (std::uint8_t version = net::kMinWireVersion; version <= net::kWireVersion; ++version) {
+      frame.version = version;
+      for (const std::uint8_t raw : kRetiredTypes) {
+        const net::Decoded d = net::decode_frame(with_type_byte(frame, raw));
+        EXPECT_EQ(d.status, net::DecodeStatus::kBadFrame) << "type byte " << int{raw};
+        EXPECT_EQ(d.error, "unknown frame type");
+      }
+    }
+  }
 }
 
 TEST(FuzzSmoke, WireSingleBitCorruptionAlwaysDetected) {
@@ -557,18 +590,31 @@ TEST(FuzzSmoke, MutatedHandshakesNeverCrashOrAuthenticate) {
     auto ack = handshake::read_one(*conn, reader, 2.0);
     ASSERT_TRUE(ack.has_value());
     ASSERT_EQ(ack->type, net::FrameType::kHelloAck);
-    net::Frame reset;
-    reset.type = net::FrameType::kReset;
-    reset.epoch = 1;
-    reset.seq = 3;
-    ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(reset)));
-    auto reset_ack = handshake::read_one(*conn, reader, 2.0);
-    ASSERT_TRUE(reset_ack.has_value());
-    EXPECT_EQ(reset_ack->type, net::FrameType::kResetAck);
+    net::Frame query;
+    query.type = net::FrameType::kQueryWord;
+    query.epoch = 1;
+    query.seq = 3;
+    query.payload = net::encode_word({"power_on"});
+    ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(query)));
+    auto word_ack = handshake::read_one(*conn, reader, 2.0);
+    ASSERT_TRUE(word_ack.has_value());
+    EXPECT_EQ(word_ack->type, net::FrameType::kWordAck);
+    EXPECT_EQ(word_ack->payload, "attach_request");
+
+    // A retired per-symbol step on the admitted session is a framing error
+    // that drops the session: no ack comes back, and no request is served.
+    net::Frame step = query;
+    step.seq = 4;
+    step.payload = "authentication_request";
+    const long framing_before = server.stats().framing_errors;
+    ASSERT_TRUE(handshake::send_bytes(*conn, with_type_byte(step, kRetiredTypes[2])));
+    EXPECT_FALSE(handshake::read_one(*conn, reader, 2.0).has_value());
+    EXPECT_EQ(server.stats().framing_errors, framing_before + 1);
   }
 
   server.stop();
   const net::SulServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 2) << "only the probe word may be served";
   EXPECT_EQ(stats.session_errors, 0) << "a mangled handshake crashed a session";
   EXPECT_GT(stats.auth_failures, 0) << "the mutator never reached the MAC check";
   EXPECT_GT(refusals, 0u);

@@ -640,10 +640,9 @@ TEST(LearnArbitration, UnresolvedCellIsQuarantinedNeverAWrongMachine) {
 // ---------------------------------------------------------------------------
 // Remote: the same kill-resume determinism over the wire
 
-net::RemoteSulOptions remote_options(std::uint16_t port, int batch_words) {
+net::RemoteSulOptions remote_options(std::uint16_t port) {
   net::RemoteSulOptions o;
   o.port = port;
-  o.max_batch_words = batch_words;
   o.call_deadline_seconds = 2.0;
   o.connect_timeout_seconds = 0.25;
   o.backoff_base_seconds = 0.002;
@@ -651,8 +650,7 @@ net::RemoteSulOptions remote_options(std::uint16_t port, int batch_words) {
   return o;
 }
 
-void run_remote_sweep(const char* tag, int batch_words,
-                      const net::ProxyFaultProfile* faults) {
+void run_remote_sweep(const char* tag, const net::ProxyFaultProfile* faults) {
   net::SulServerOptions sopts;
   sopts.max_sessions = 8;
   net::SulServer server(ue::StackProfile::cls(), sopts);
@@ -679,7 +677,7 @@ void run_remote_sweep(const char* tag, int batch_words,
     o.learn = tiny_options();
     o.journal_path = ref_path;
     o.run_tag = "cls";
-    net::RemoteUeSul sul(remote_options(port, batch_words));
+    net::RemoteUeSul sul(remote_options(port));
     const SupervisedLearn run = learn_supervised(sul, o);
     expect_matches_reference(run, "remote reference");  // also == in-process machine
     journal_bytes = slurp(ref_path);
@@ -701,7 +699,7 @@ void run_remote_sweep(const char* tag, int batch_words,
     o.run_tag = "cls";
     o.retries = 2;  // transient transport hiccups may burn an attempt
     o.backoff_seconds = 0.005;
-    net::RemoteUeSul sul(remote_options(port, batch_words));
+    net::RemoteUeSul sul(remote_options(port));
     const SupervisedLearn run = learn_supervised(sul, o);
     expect_matches_reference(run, ("remote offset " + std::to_string(offset)).c_str());
     if (::testing::Test::HasFatalFailure()) break;
@@ -712,11 +710,7 @@ void run_remote_sweep(const char* tag, int batch_words,
 }
 
 TEST(LearnSupervisorRemote, KillResumeByteIdenticalBatched) {
-  run_remote_sweep("batched", net::kDefaultBatchWords, nullptr);
-}
-
-TEST(LearnSupervisorRemote, KillResumeByteIdenticalPerSymbol) {
-  run_remote_sweep("v2", 0, nullptr);
+  run_remote_sweep("batched", nullptr);
 }
 
 TEST(LearnSupervisorRemote, KillResumeUnderLosslessChaos) {
@@ -727,7 +721,7 @@ TEST(LearnSupervisorRemote, KillResumeUnderLosslessChaos) {
   faults.delay = 0.2;
   faults.fragment = 0.15;
   faults.reorder = 0.1;
-  run_remote_sweep("chaos", net::kDefaultBatchWords, &faults);
+  run_remote_sweep("chaos", &faults);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Remote-SUL transport suite (DESIGN.md §12): wire codec contracts, the
 // fault-tolerant client against a real loopback server, every chaos-proxy
-// regime, the circuit breaker's full state walk, nondeterminism detection,
-// and the kill-the-server-at-every-message determinism sweep.
+// regime, the circuit breaker's full state walk, structured refusals of
+// words the wire cannot carry, and the kill-the-server-at-every-message
+// determinism sweep.
 //
 // The load-bearing invariants, end to end:
 //   * lossless chaos (delay / fragmentation / byte reorder / connection
@@ -47,14 +48,6 @@ RemoteSulOptions client_options(std::uint16_t port) {
   return o;
 }
 
-// Same budgets with the word/batch protocol disabled: the client never
-// offers a batch in its hello, so every query walks the v2 per-symbol path.
-RemoteSulOptions per_symbol_options(std::uint16_t port) {
-  RemoteSulOptions o = client_options(port);
-  o.max_batch_words = 0;
-  return o;
-}
-
 learner::LearnOptions quick_learn_options() {
   learner::LearnOptions o;
   o.eq_test_words = 40;  // small but sufficient to converge on cls
@@ -70,9 +63,11 @@ std::string fsm_text(const learner::LearnResult& result) {
 // --- Wire codec --------------------------------------------------------------
 
 TEST(Wire, RoundTripsEveryFrameType) {
-  for (auto type : {FrameType::kHello, FrameType::kHelloAck, FrameType::kReset,
-                    FrameType::kResetAck, FrameType::kStep, FrameType::kStepAck,
-                    FrameType::kPing, FrameType::kPong, FrameType::kBye, FrameType::kError}) {
+  for (auto type :
+       {FrameType::kHello, FrameType::kHelloAck, FrameType::kPing, FrameType::kPong,
+        FrameType::kBye, FrameType::kError, FrameType::kChallenge, FrameType::kAuthResponse,
+        FrameType::kServerBusy, FrameType::kClose, FrameType::kQueryWord, FrameType::kWordAck,
+        FrameType::kQueryBatch, FrameType::kBatchAck}) {
     Frame f;
     f.type = type;
     f.epoch = 7;
@@ -89,8 +84,8 @@ TEST(Wire, RoundTripsEveryFrameType) {
 
 TEST(Wire, EveryProperPrefixNeedsMore) {
   Frame f;
-  f.type = FrameType::kStep;
-  f.payload = "attach_accept";
+  f.type = FrameType::kQueryWord;
+  f.payload = "power_on,attach_accept";
   Bytes wire = encode_frame(f);
   for (std::size_t n = 0; n < wire.size(); ++n) {
     Bytes prefix(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(n));
@@ -126,7 +121,7 @@ TEST(Wire, ReaderReassemblesByteAtATime) {
   std::vector<Frame> frames;
   for (int i = 0; i < 5; ++i) {
     Frame f;
-    f.type = FrameType::kStepAck;
+    f.type = FrameType::kWordAck;
     f.epoch = 1;
     f.seq = static_cast<std::uint32_t>(i);
     f.payload = "output-" + std::to_string(i);
@@ -239,7 +234,7 @@ TEST(Wire, BatchTokenNegotiationRoundTrips) {
   EXPECT_EQ(with_batch_token("cls", 16), "cls batch=16");
   EXPECT_EQ(parse_batch_token("cls batch=16"), 16);
   EXPECT_EQ(strip_batch_token("cls batch=16"), "cls");
-  // A v2 peer never sends the token: parse yields 0, strip is the identity.
+  // A payload without the token: parse yields 0, strip is the identity.
   EXPECT_EQ(parse_batch_token("cls"), 0);
   EXPECT_EQ(strip_batch_token("cls"), "cls");
   EXPECT_EQ(with_batch_token("cls", 0), "cls");
@@ -260,6 +255,18 @@ TEST(NetTransport, RemoteStepsMatchInProcessSul) {
                                          "identity_request", "paging"};
   EXPECT_EQ(remote.run(word), local.run(word));
   EXPECT_EQ(remote.server_profile(), "cls");
+
+  // A step walk re-sends the growing prefix as one word per step, but the
+  // server continues its live execution: N steps cost it exactly 1 reset
+  // and N steps, never O(N²).
+  const SulServerStats before = server.stats();
+  remote.reset();
+  local.reset();
+  for (const std::string& input : word) EXPECT_EQ(remote.step(input), local.step(input));
+  const SulServerStats after = server.stats();
+  EXPECT_EQ(after.resets - before.resets, 1);
+  EXPECT_EQ(after.steps - before.steps, static_cast<long>(word.size()));
+
   EXPECT_EQ(remote.stats().connects, 1);
   EXPECT_EQ(remote.stats().unavailable_answers, 0);
   EXPECT_EQ(remote.breaker(), BreakerState::kClosed);
@@ -363,26 +370,28 @@ TEST(NetTransport, BreakerHalfOpenProbeRecoversWhenServerReturns) {
   EXPECT_GT(remote.stats().breaker_probes, 0);
 }
 
-// --- Reconnect / resync / vote cache -------------------------------------------
+// --- Reconnect / outage / refusals ---------------------------------------------
 
 TEST(NetTransport, ReconnectMidWordReplaysAndStaysCorrect) {
   SulServerOptions sopts;
   sopts.kill_after_requests = 3;  // dies mid-word, exactly once
   SulServer server(ue::StackProfile::cls(), sopts);
   ASSERT_TRUE(server.start());
-  RemoteSulOptions copts = client_options(server.port());
-  copts.max_batch_words = 0;  // pin the per-symbol v2 replay path specifically
-  RemoteUeSul remote(copts);
+  RemoteUeSul remote(client_options(server.port()));
   learner::UeSul local(ue::StackProfile::cls());
 
+  // Step by step: the second step crosses the kill point, so the third
+  // reconnects and replays the whole prefix into a fresh session.
   const std::vector<std::string> word = {"power_on", "authentication_request",
                                          "security_mode_command", "attach_accept"};
-  EXPECT_EQ(remote.run(word), local.run(word));
+  remote.reset();
+  local.reset();
+  for (const std::string& input : word) EXPECT_EQ(remote.step(input), local.step(input));
   EXPECT_GT(remote.stats().reconnects, 0);
   EXPECT_EQ(remote.stats().unavailable_answers, 0);
 }
 
-TEST(NetTransport, VoteCacheAnswersReplaysDuringOutage) {
+TEST(NetTransport, OutageDegradesEveryWordToUnavailable) {
   auto server = std::make_unique<SulServer>(ue::StackProfile::cls());
   ASSERT_TRUE(server->start());
   std::uint16_t port = server->port();
@@ -395,104 +404,52 @@ TEST(NetTransport, VoteCacheAnswersReplaysDuringOutage) {
 
   server.reset();  // outage
 
-  // The replayed word is answered from the vote cache, bit-for-bit.
-  EXPECT_EQ(remote.run(word), live);
-  EXPECT_GT(remote.stats().cache_fallbacks, 0);
-  // A novel word cannot be served from cache: structured degradation.
+  // No answer cache outlives the link: a replayed word degrades exactly like
+  // a novel one, to the structured unavailable symbol in every position.
+  const std::vector<std::string> down(word.size(), learner::kSulUnavailable);
+  EXPECT_EQ(remote.run(word), down);
   std::vector<std::string> novel =
       remote.run({"power_on", "authentication_request", "security_mode_command"});
   EXPECT_EQ(novel.back(), learner::kSulUnavailable);
+  EXPECT_EQ(remote.stats().unavailable_answers, 2);
+  EXPECT_NE(remote.unavailable_reason().find("link failed"), std::string::npos)
+      << remote.unavailable_reason();
 }
 
-// A minimal hand-rolled server that answers step queries *nondeterministically*
-// (alternating outputs), exercising the majority-vote detector.
-class FlakyAnswerServer {
- public:
-  FlakyAnswerServer() {
-    auto listener = TcpListener::listen(0);
-    EXPECT_TRUE(listener.has_value());
-    listener_ = std::move(*listener);
-    thread_ = std::thread([this] { loop(); });
-  }
-  ~FlakyAnswerServer() {
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
-  }
-  std::uint16_t port() const { return listener_.port(); }
-
- private:
-  void loop() {
-    while (!stop_.load()) {
-      auto conn = listener_.accept(0.05);
-      if (!conn) continue;
-      FrameReader reader;
-      Bytes chunk;
-      long step_no = 0;
-      while (!stop_.load()) {
-        Decoded d = reader.next();
-        if (d.status == DecodeStatus::kBadFrame) break;
-        if (d.status == DecodeStatus::kNeedMore) {
-          chunk.clear();
-          auto st = conn->recv_some(chunk, 4096, 0.05);
-          if (st == TcpConn::RecvStatus::kTimeout) continue;
-          if (st != TcpConn::RecvStatus::kData) break;
-          reader.feed(chunk);
-          continue;
-        }
-        Frame ack;
-        ack.epoch = d.frame.epoch;
-        ack.seq = d.frame.seq;
-        switch (d.frame.type) {
-          case FrameType::kHello:
-            ack.type = FrameType::kHelloAck;
-            ack.payload = "flaky";
-            break;
-          case FrameType::kReset:
-            ack.type = FrameType::kResetAck;
-            break;
-          case FrameType::kStep:
-            ack.type = FrameType::kStepAck;
-            // The lie: the same query gets different answers on different
-            // visits. (Alternates per step count, not per word.)
-            ack.payload = (++step_no % 2 == 0) ? "null" : "attach_request";
-            break;
-          case FrameType::kPing:
-            ack.type = FrameType::kPong;
-            break;
-          default:
-            ack.type = FrameType::kError;
-            break;
-        }
-        if (!conn->send_all(encode_frame(ack), 0.5)) break;
-      }
-    }
-  }
-
-  TcpListener listener_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-};
-
-TEST(NetTransport, MajorityVoteFlagsNondeterministicServer) {
-  FlakyAnswerServer server;
+TEST(NetTransport, UnsendableWordsDegradeWithAReason) {
+  SulServer server(ue::StackProfile::cls());
+  ASSERT_TRUE(server.start());
   RemoteUeSul remote(client_options(server.port()));
-  const std::vector<std::string> word = {"power_on"};
+  learner::UeSul local(ue::StackProfile::cls());
 
-  std::vector<std::string> first = remote.run(word);
-  std::vector<std::string> second = remote.run(word);
-  std::vector<std::string> third = remote.run(word);
-  EXPECT_GT(remote.stats().nondeterministic_queries, 0)
-      << "a lying SUT must be flagged, not silently learned from";
-  // After disagreement, the majority answer is stable and deterministic.
-  EXPECT_EQ(second, third);
+  // A symbol outside the codec's charset: refused before it reaches the wire.
+  EXPECT_EQ(remote.query_word({"power_on", "attach accept"}),
+            (std::vector<std::string>{learner::kSulUnavailable, learner::kSulUnavailable}));
+  EXPECT_NE(remote.unavailable_reason().find("'attach accept'"), std::string::npos)
+      << remote.unavailable_reason();
+
+  // One symbol past kMaxWordSymbols: refused whole, never truncated.
+  const std::vector<std::string> too_long(kMaxWordSymbols + 1, "paging");
+  EXPECT_EQ(remote.query_word(too_long),
+            std::vector<std::string>(too_long.size(), learner::kSulUnavailable));
+  EXPECT_NE(remote.unavailable_reason().find("65 symbols"), std::string::npos)
+      << remote.unavailable_reason();
+  EXPECT_EQ(remote.stats().unavailable_answers, 2);
+  EXPECT_EQ(remote.stats().connects, 0) << "a refused word must not touch the wire";
+
+  // Refusals are per word: a sendable word on the same client still works.
+  const std::vector<std::string> word = {"power_on", "authentication_request"};
+  EXPECT_EQ(remote.run(word), local.run(word));
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 1 + static_cast<long>(word.size()));
 }
 
-// Like FlakyAnswerServer, but speaks the v3 word protocol: the hello-ack
-// grants a batch so the client routes query_word over kQueryWord, and every
-// kWordAck alternates the first output symbol.
+// A minimal hand-rolled v3 server that lies: every kWordAck alternates the
+// first output symbol. With `grant_batch` false its hello-ack carries no
+// batch grant, like a server that predates the word protocol.
 class FlakyWordServer {
  public:
-  FlakyWordServer() {
+  explicit FlakyWordServer(bool grant_batch = true) : grant_batch_(grant_batch) {
     auto listener = TcpListener::listen(0);
     EXPECT_TRUE(listener.has_value());
     listener_ = std::move(*listener);
@@ -528,10 +485,7 @@ class FlakyWordServer {
         switch (d.frame.type) {
           case FrameType::kHello:
             ack.type = FrameType::kHelloAck;
-            ack.payload = with_batch_token("flaky", kDefaultBatchWords);
-            break;
-          case FrameType::kReset:
-            ack.type = FrameType::kResetAck;
+            ack.payload = with_batch_token("flaky", grant_batch_ ? kDefaultBatchWords : 0);
             break;
           case FrameType::kQueryWord: {
             ack.type = FrameType::kWordAck;
@@ -553,29 +507,39 @@ class FlakyWordServer {
     }
   }
 
+  const bool grant_batch_;
   TcpListener listener_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   long word_no_ = 0;
 };
 
-TEST(NetTransport, QueryWordFreshBypassesTheVoteCache) {
+TEST(NetTransport, QueryWordSeesEveryAlternatingAnswer) {
   FlakyWordServer server;
   RemoteUeSul remote(client_options(server.port()));
   const std::vector<std::string> word = {"power_on", "paging"};
 
-  // The arbitration sampling path sees every raw lie: consecutive fresh
-  // queries of the same word surface the alternation unvoted.
-  std::vector<std::string> fresh_a = remote.query_word_fresh(word);
-  std::vector<std::string> fresh_b = remote.query_word_fresh(word);
-  EXPECT_NE(fresh_a, fresh_b) << "fresh samples must bypass the vote cache";
+  // No transport cache smooths the lie: every query is a fresh execution,
+  // so consecutive answers alternate exactly as the server does — the raw
+  // material the learning supervisor's k-of-n arbitration votes on.
+  std::vector<std::vector<std::string>> seen;
+  for (int i = 0; i < 4; ++i) seen.push_back(remote.query_word(word));
+  EXPECT_NE(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], seen[2]);
+  EXPECT_EQ(seen[1], seen[3]);
+  EXPECT_EQ(remote.query_word_fresh(word), seen[0]);
+  EXPECT_EQ(remote.stats().word_queries, 5);
+}
 
-  // The learner-facing path stays vote-stable on the majority answer
-  // ("attach_request" wins ties toward the smallest symbol) despite the
-  // server alternating underneath.
-  std::vector<std::string> voted = remote.query_word(word);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(remote.query_word(word), voted);
-  EXPECT_GT(remote.stats().nondeterministic_queries, 0);
+TEST(NetTransport, ServerWithoutBatchGrantDegradesStructured) {
+  FlakyWordServer server(/*grant_batch=*/false);
+  RemoteUeSul remote(client_options(server.port()));
+  const std::vector<std::string> word = {"power_on"};
+  EXPECT_EQ(remote.run(word), std::vector<std::string>{learner::kSulUnavailable});
+  EXPECT_EQ(remote.negotiated_batch_words(), 0);
+  EXPECT_NE(remote.unavailable_reason().find("no word batch"), std::string::npos)
+      << remote.unavailable_reason();
+  EXPECT_EQ(remote.stats().word_queries, 0);
 }
 
 // --- Heartbeat -----------------------------------------------------------------
@@ -625,39 +589,6 @@ TEST(ChaosProxyNet, InertProxyIsByteTransparent) {
   EXPECT_GT(proxy.stats().chunks, 0);
 }
 
-// The acceptance pin: under every *lossless* fault regime, remote learning
-// produces an FSM byte-identical to the clean in-process run. Pinned to the
-// v2 per-symbol protocol; BatchedProtocol.LearnByteIdenticalUnderLosslessChaos
-// runs the same regimes over the v3 word/batch path.
-TEST(ChaosProxyNet, LosslessRegimesLearnByteIdentical) {
-  learner::UeSul local(ue::StackProfile::cls());
-  const std::string clean = fsm_text(learner::learn_mealy(local, quick_learn_options()));
-
-  struct Regime {
-    const char* name;
-    ProxyFaultProfile faults;
-  };
-  const Regime regimes[] = {
-      {"delay", {.delay = 0.2}},
-      {"fragment", {.fragment = 0.15}},
-      {"reorder", {.reorder = 0.1}},
-      {"combined", {.delay = 0.1, .fragment = 0.1, .reorder = 0.05}},
-  };
-  for (const Regime& regime : regimes) {
-    SulServer server(ue::StackProfile::cls());
-    ASSERT_TRUE(server.start());
-    ChaosProxy proxy(proxy_options(server.port(), regime.faults));
-    ASSERT_TRUE(proxy.start());
-
-    RemoteUeSul remote(per_symbol_options(proxy.port()));
-    learner::LearnResult result = learner::learn_mealy(remote, quick_learn_options());
-    ASSERT_TRUE(result.converged) << regime.name;
-    ASSERT_FALSE(result.inconclusive) << regime.name;
-    EXPECT_EQ(fsm_text(result), clean) << regime.name;
-    EXPECT_GT(proxy.stats().faults(), 0) << regime.name << ": regime never fired";
-  }
-}
-
 TEST(ChaosProxyNet, CorruptionIsDetectedNeverConsumed) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
@@ -687,12 +618,12 @@ TEST(ChaosProxyNet, ConnectionKillRegimeTerminatesStructured) {
   // Kills are recoverable (reconnect + replay), so scenarios either pass or
   // exhaust the budget into inconclusive — never FAIL, never hang.
   EXPECT_EQ(report.failed(), 0);
-  EXPECT_GT(remote.stats().reconnects + remote.stats().cache_fallbacks, 0);
+  EXPECT_GT(remote.stats().reconnects, 0);
 }
 
 // --- Batched word protocol (wire v3) ---------------------------------------------
 
-// Satellite (a): identical words inside one query_batch() are shipped to the
+// Identical words inside one query_batch() are shipped to the
 // server exactly once and every duplicate position still gets the answer.
 TEST(BatchedProtocol, QueryBatchDeduplicatesIdenticalWords) {
   SulServer server(ue::StackProfile::cls());
@@ -740,24 +671,12 @@ TEST(BatchedProtocol, SortedBatchContinuesSharedPrefixesOnServer) {
   EXPECT_EQ(server.stats().resets, 1) << "a prefix chain needs exactly one reset";
 }
 
-// Satellite (c): batched learning renders byte-identical to the per-symbol
-// remote run and to the in-process run, with the same query schedule.
-TEST(BatchedProtocol, LearnByteIdenticalToPerSymbolAndInProcess) {
+// Batched learning renders byte-identical to the in-process run, with the
+// same query schedule.
+TEST(BatchedProtocol, LearnByteIdenticalToInProcess) {
   learner::UeSul local(ue::StackProfile::cls());
   learner::LearnResult clean = learner::learn_mealy(local, quick_learn_options());
   ASSERT_TRUE(clean.converged);
-
-  learner::LearnResult per_symbol;
-  {
-    SulServer server(ue::StackProfile::cls());
-    ASSERT_TRUE(server.start());
-    RemoteUeSul remote(per_symbol_options(server.port()));
-    per_symbol = learner::learn_mealy(remote, quick_learn_options());
-    EXPECT_EQ(remote.negotiated_batch_words(), 0);
-    EXPECT_EQ(remote.stats().batch_queries, 0);
-  }
-  ASSERT_TRUE(per_symbol.converged);
-  EXPECT_EQ(fsm_text(per_symbol), fsm_text(clean));
 
   learner::LearnResult batched;
   {
@@ -777,14 +696,14 @@ TEST(BatchedProtocol, LearnByteIdenticalToPerSymbolAndInProcess) {
   // The trie cache and dedupe are learner-side and deterministic, so the
   // query schedule — not just the answer set — is identical transport-free.
   EXPECT_EQ(batched.membership_queries, clean.membership_queries);
-  EXPECT_EQ(batched.membership_queries, per_symbol.membership_queries);
   EXPECT_EQ(batched.cache_hits, clean.cache_hits);
   EXPECT_EQ(batched.cache_prefix_hits, clean.cache_prefix_hits);
   EXPECT_EQ(batched.nondeterministic_cached, 0);
 }
 
-// Satellite (c): the batched path survives every lossless chaos regime with a
-// byte-identical FSM, exactly like the per-symbol acceptance pin above.
+// The acceptance pin: under every *lossless* fault regime (delay,
+// fragmentation, byte reorder), remote learning over the word/batch path
+// produces an FSM byte-identical to the clean in-process run.
 TEST(BatchedProtocol, LearnByteIdenticalUnderLosslessChaos) {
   learner::UeSul local(ue::StackProfile::cls());
   const std::string clean = fsm_text(learner::learn_mealy(local, quick_learn_options()));
@@ -817,15 +736,14 @@ TEST(BatchedProtocol, LearnByteIdenticalUnderLosslessChaos) {
 
 // --- Kill-at-every-message sweep -------------------------------------------------
 
-// Satellite (f): for every possible server-crash point k (after the k-th
+// For every possible server-crash point k (after the k-th
 // application request, both before and after the ack goes out), a
 // reconnected remote-conformance run must render byte-identical to the
-// uninterrupted in-process reference. This pins the replay/resync design:
-// no interruption point leaks, duplicates, or reorders an observation.
-// Runs once over the v2 per-symbol protocol (each frame is one request) and
-// once over the v3 word protocol (one kQueryWord is 1+len logical requests,
-// so a kill can land mid-word on the server and the whole word replays).
-void kill_sweep(const ue::StackProfile& profile, bool batched) {
+// uninterrupted in-process reference. This pins the replay design: no
+// interruption point leaks, duplicates, or reorders an observation. One
+// kQueryWord is 1+len logical requests, so a kill can land mid-word on the
+// server and the whole word replays.
+void kill_sweep(const ue::StackProfile& profile) {
   // Reference: clean remote run (== in-process by RemoteConformanceAllPass),
   // plus the total request count R that bounds the sweep.
   std::string reference;
@@ -833,8 +751,7 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
   {
     SulServer server(profile);
     ASSERT_TRUE(server.start());
-    RemoteUeSul remote(batched ? client_options(server.port())
-                               : per_symbol_options(server.port()));
+    RemoteUeSul remote(client_options(server.port()));
     reference = run_remote_conformance(profile, remote).render();
     server.stop();
     total_requests = server.stats().requests;
@@ -848,8 +765,7 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
       sopts.kill_before_reply = before_reply == 1;
       SulServer server(profile, sopts);
       ASSERT_TRUE(server.start());
-      RemoteUeSul remote(batched ? client_options(server.port())
-                                 : per_symbol_options(server.port()));
+      RemoteUeSul remote(client_options(server.port()));
       RemoteConformanceReport report = run_remote_conformance(profile, remote);
       ASSERT_EQ(report.render(), reference)
           << "kill at request " << k << (before_reply ? " (before reply)" : " (after reply)");
@@ -859,12 +775,8 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
   }
 }
 
-TEST(KillSweep, ConformanceByteIdenticalAtEveryKillPoint) {
-  kill_sweep(ue::StackProfile::cls(), /*batched=*/false);
-}
-
 TEST(KillSweep, WordProtocolByteIdenticalAtEveryKillPoint) {
-  kill_sweep(ue::StackProfile::cls(), /*batched=*/true);
+  kill_sweep(ue::StackProfile::cls());
 }
 
 // --- TSan-focused concurrency tests ----------------------------------------------

@@ -325,22 +325,25 @@ TEST(Session, LegacyV1HelloGetsStructuredUpgradeClose) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
 
-  auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
-  ASSERT_TRUE(conn.has_value());
-  Frame hello = hello_frame();
-  hello.version = 1;  // a pre-auth client
-  FrameReader reader;
-  ASSERT_TRUE(send_raw(*conn, hello));
-  auto close = read_raw(*conn, reader);
-  ASSERT_TRUE(close.has_value());
-  EXPECT_EQ(close->type, FrameType::kClose);
-  EXPECT_NE(close->payload.find("upgrade_required"), std::string::npos) << close->payload;
-  // The server closed the socket — not a half-open connection.
-  Bytes chunk;
-  EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof);
+  // v1 is the pre-auth client, v2 the per-symbol one: neither is served.
+  for (const std::uint8_t version : {1, 2}) {
+    auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
+    ASSERT_TRUE(conn.has_value());
+    Frame hello = hello_frame();
+    hello.version = version;
+    FrameReader reader;
+    ASSERT_TRUE(send_raw(*conn, hello));
+    auto close = read_raw(*conn, reader);
+    ASSERT_TRUE(close.has_value()) << "v" << int{version};
+    EXPECT_EQ(close->type, FrameType::kClose);
+    EXPECT_NE(close->payload.find("upgrade_required"), std::string::npos) << close->payload;
+    // The server closed the socket — not a half-open connection.
+    Bytes chunk;
+    EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof);
+  }
 
   server.stop();
-  EXPECT_EQ(server.stats().upgrade_rejects, 1);
+  EXPECT_EQ(server.stats().upgrade_rejects, 2);
 }
 
 // --- Batched word protocol at the session layer (wire v3) --------------------
