@@ -22,7 +22,7 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
 
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
-                              const CegarOptions& options) {
+                              const CegarOptions& options, const mc::ReachGraph* graph) {
   PropertyResult result;
   result.property_id = prop.id;
   result.attack_id = prop.attack_id;
@@ -33,7 +33,7 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
     return result;
   }
 
-  mc::Checker checker(tm.model);
+  mc::Checker checker(tm.model, graph);
   std::set<std::string> banned;
   // Indexed view of `banned` for the hot path: the allowed-filter then costs
   // one byte load per edge instead of a string-set lookup.

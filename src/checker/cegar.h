@@ -69,9 +69,12 @@ struct CegarOptions {
 };
 
 /// Runs the full MC ⇄ CPV loop for one property. `ue_fsm` is the extracted
-/// machine used for observational-equivalence queries.
+/// machine used for observational-equivalence queries. `graph`, when given,
+/// is mc::ReachGraph::build(tm.model): every MC iteration (refined or not)
+/// then walks it instead of re-exploring the model, with identical results.
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
-                              const CegarOptions& options = {});
+                              const CegarOptions& options = {},
+                              const mc::ReachGraph* graph = nullptr);
 
 }  // namespace procheck::checker

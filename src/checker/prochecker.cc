@@ -156,6 +156,9 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   }
   report.resumed_count = run.resumed;
   report.cancelled_count = run.cancelled;
+  report.graph_states = run.graph_states;
+  report.graph_edges = run.graph_edges;
+  report.graph_build_seconds = run.graph_build_seconds;
   report.journal_error = std::move(run.journal_error);
 
   for (PropertyOutcome& outcome : run.outcomes) {

@@ -92,6 +92,11 @@ struct ImplementationReport {
   std::vector<PropertyOutcome> outcomes;
   std::size_t resumed_count = 0;    // outcomes adopted from the run journal
   std::size_t cancelled_count = 0;  // properties interrupted by cancellation
+  /// The shared reachable graph the properties were checked against
+  /// (SupervisedRun::graph_*; 0 states = none was built).
+  std::size_t graph_states = 0;
+  std::size_t graph_edges = 0;
+  double graph_build_seconds = 0;
   /// Non-empty when the run journal could not be written (analysis continued).
   std::string journal_error;
   /// The run refused to start (journal held by a live concurrent run, or

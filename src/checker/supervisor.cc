@@ -10,6 +10,7 @@
 
 #include "common/journal.h"
 #include "common/json.h"
+#include "mc/reach_graph.h"
 
 namespace procheck::checker {
 
@@ -276,7 +277,8 @@ PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
 /// the MC/CEGAR loop (or the test fault hook) never escape.
 PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
-                                 const CegarOptions& base, const SupervisorOptions& options) {
+                                 const CegarOptions& base, const SupervisorOptions& options,
+                                 const mc::ReachGraph* graph) {
   const int total_attempts = 1 + std::max(0, options.retries);
   std::size_t max_states = base.max_states;
   double deadline = min_deadline(base.max_seconds, options.deadline_per_property);
@@ -292,7 +294,7 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
     per_attempt.cancel = options.cancel;
     try {
       if (options.fault_hook) options.fault_hook(prop.id, attempt);
-      out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt);
+      out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt, graph);
       out.failure = classify(out.result);
       out.diagnostics = out.failure == FailureClass::kNone ? std::string() : out.result.note;
     } catch (const std::exception& e) {
@@ -441,12 +443,32 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
     done[i] = 1;
   };
 
+  // --- Shared reachable graph ---------------------------------------------
+  // Built under the budgets of one property's first attempt, so a run whose
+  // budgets would truncate a single search never trades it for a graph.
+  std::optional<mc::ReachGraph> graph;
+  if (!work.empty()) {
+    mc::CheckOptions build;
+    build.max_states = cegar.max_states;
+    build.max_seconds = min_deadline(cegar.max_seconds, options.deadline_per_property);
+    build.max_visited_bytes = min_ceiling(cegar.max_visited_bytes, options.mem_ceiling_bytes);
+    build.cancel = options.cancel;
+    mc::CheckStats stats;
+    graph = mc::ReachGraph::build(tm.model, build, &stats);
+    run.graph_build_seconds = stats.seconds;
+    if (graph) {
+      run.graph_states = graph->states();
+      run.graph_edges = graph->edges();
+    }
+  }
+  const mc::ReachGraph* shared = graph ? &*graph : nullptr;
+
   const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
   if (jobs <= 1 || work.size() <= 1) {
     cpv::LteCryptoModel crypto(crypto_options);
     for (std::size_t i : work) {
       if (options.cancel && options.cancel->cancelled()) break;
-      record(i, run_one_property(tm, ue_fsm, *selected[i], crypto, cegar, options));
+      record(i, run_one_property(tm, ue_fsm, *selected[i], crypto, cegar, options, shared));
     }
   } else {
     ThreadPool pool(std::min(jobs, work.size()));
@@ -476,7 +498,7 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
           }
           if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
           PropertyOutcome outcome =
-              run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options);
+              run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared);
           {
             std::lock_guard<std::mutex> lock(crypto_mutex);
             idle_verifiers.push_back(std::move(crypto));

@@ -108,6 +108,14 @@ struct SupervisedRun {
   std::size_t resumed = 0;    // outcomes adopted from the journal
   std::size_t cancelled = 0;  // properties interrupted by the CancelToken
   std::size_t journal_records = 0;
+  /// The shared reachable graph (DESIGN.md §10): states and edges of the
+  /// graph every property was checked against, 0 when none was built (no
+  /// property left to verify, or the build tripped a budget and every
+  /// property explored on its own), and the seconds the build took —
+  /// including a build that was abandoned.
+  std::size_t graph_states = 0;
+  std::size_t graph_edges = 0;
+  double graph_build_seconds = 0;
   /// Non-empty when journaling failed mid-run: the analysis continued
   /// (containment), but the journal is no longer extending.
   std::string journal_error;
@@ -122,6 +130,11 @@ struct SupervisedRun {
 /// every property produces a PropertyOutcome. The verdicts are byte-for-byte
 /// deterministic across jobs levels and across interrupt/resume cycles for
 /// deterministic budgets (see DESIGN.md §11 for the determinism argument).
+///
+/// Before the fan-out, the unrefined model's reachable graph is built once
+/// (mc::ReachGraph) under one property's first-attempt budgets; every
+/// property then queries it. A build that trips a budget yields no graph and
+/// each property explores the model on its own, exactly as without one.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,

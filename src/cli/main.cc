@@ -381,6 +381,15 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
       }
     }
   }
+  if (rep.graph_states > 0) {
+    std::fprintf(stderr, "shared graph: %zu states, %zu edges, built in %.2fs\n",
+                 rep.graph_states, rep.graph_edges, rep.graph_build_seconds);
+  } else if (rep.graph_build_seconds > 0) {
+    std::fprintf(stderr,
+                 "shared graph: build stopped at a budget after %.2fs; each property"
+                 " explored the model on its own\n",
+                 rep.graph_build_seconds);
+  }
   if (rep.resumed_count > 0) {
     std::fprintf(stderr, "resumed %zu of %zu properties from %s\n", rep.resumed_count,
                  rep.results.size(), options.journal_path.c_str());

@@ -1,190 +1,12 @@
 #include "mc/checker.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
+#include <stdexcept>
+
+#include "mc/reach_graph.h"
+#include "mc/state_space.h"
 
 namespace procheck::mc {
-
-namespace {
-
-class Timer {
- public:
-  Timer() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
-
-std::uint64_t hash_state(const std::int32_t* s, std::size_t n) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint32_t>(s[i]);
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-  }
-  return h;
-}
-
-/// Interned visited-state set: every distinct state lives exactly once in a
-/// bump-allocated arena of `stride` int32 slots, identified by a dense
-/// uint32 id; membership is an open-addressing table over those ids keyed
-/// by a 64-bit hash. Replaces unordered_map<State, ...> buckets holding
-/// full vector copies — no per-state heap allocation, no re-hash of whole
-/// states on probe (hashes are memoized per id).
-///
-/// The set also carries the guard cache: for every interned state, one bit
-/// per model command recording whether that command's guard holds. Bits for
-/// a newly reached state are computed incrementally from its BFS parent —
-/// only guards whose precomputed read-set (Model::deps) intersects the
-/// variables the incoming transition actually changed are re-evaluated.
-class StateSpace {
- public:
-  explicit StateSpace(const Model& model)
-      : model_(model),
-        stride_(model.var_count()),
-        blocks_((model.commands().size() + 63) / 64) {
-    slots_.assign(256, kNoId);
-    mask_ = slots_.size() - 1;
-  }
-
-  std::size_t blocks() const { return blocks_; }
-  std::size_t size() const { return hashes_.size(); }
-
-  /// Bytes retained by the arena, hash table and guard cache.
-  std::size_t bytes() const {
-    return arena_.capacity() * sizeof(std::int32_t) +
-           hashes_.capacity() * sizeof(std::uint64_t) +
-           slots_.capacity() * sizeof(std::uint32_t) +
-           guard_bits_.capacity() * sizeof(std::uint64_t);
-  }
-
-  /// Interns `s`. Existing state: returns its id with *inserted = false.
-  /// New state under `cap`: appends it (computing guard bits from
-  /// `parent_bits` + `changed`, or from scratch when parent_bits is null)
-  /// and returns the fresh id with *inserted = true. New state at the cap:
-  /// returns kNoId without inserting.
-  std::uint32_t intern(const State& s, std::size_t cap, bool* inserted,
-                       const std::uint64_t* parent_bits, std::uint64_t changed) {
-    std::uint64_t h = hash_state(s.data(), stride_);
-    std::size_t slot = h & mask_;
-    for (;;) {
-      std::uint32_t id = slots_[slot];
-      if (id == kNoId) break;
-      if (hashes_[id] == h &&
-          std::memcmp(arena_.data() + std::size_t(id) * stride_, s.data(),
-                      stride_ * sizeof(std::int32_t)) == 0) {
-        *inserted = false;
-        return id;
-      }
-      slot = (slot + 1) & mask_;
-    }
-    if (hashes_.size() >= cap) {
-      *inserted = false;
-      return kNoId;
-    }
-    std::uint32_t id = static_cast<std::uint32_t>(hashes_.size());
-    arena_.insert(arena_.end(), s.begin(), s.end());
-    hashes_.push_back(h);
-    slots_[slot] = id;
-    append_guard_bits(s, parent_bits, changed);
-    if (hashes_.size() * 10 >= slots_.size() * 7) grow();
-    *inserted = true;
-    return id;
-  }
-
-  const std::int32_t* state_data(std::uint32_t id) const {
-    return arena_.data() + std::size_t(id) * stride_;
-  }
-
-  State state(std::uint32_t id) const {
-    const std::int32_t* p = state_data(id);
-    return State(p, p + stride_);
-  }
-
-  void copy_state(std::uint32_t id, State& out) const {
-    const std::int32_t* p = state_data(id);
-    out.assign(p, p + stride_);
-  }
-
-  void copy_guard_bits(std::uint32_t id, std::vector<std::uint64_t>& out) const {
-    const std::uint64_t* p = guard_bits_.data() + std::size_t(id) * blocks_;
-    out.assign(p, p + blocks_);
-  }
-
- private:
-  void append_guard_bits(const State& s, const std::uint64_t* parent_bits,
-                         std::uint64_t changed) {
-    const std::vector<Command>& commands = model_.commands();
-    const std::vector<CommandDeps>& deps = model_.deps();
-    std::size_t base = guard_bits_.size();
-    guard_bits_.resize(base + blocks_, 0);
-    for (std::size_t j = 0; j < commands.size(); ++j) {
-      bool enabled;
-      if (parent_bits && (deps[j].guard_reads & changed) == 0) {
-        enabled = (parent_bits[j >> 6] >> (j & 63)) & 1;
-      } else {
-        enabled = commands[j].guard.eval(s);
-      }
-      if (enabled) guard_bits_[base + (j >> 6)] |= 1ull << (j & 63);
-    }
-  }
-
-  void grow() {
-    std::vector<std::uint32_t> fresh(slots_.size() * 2, kNoId);
-    std::size_t mask = fresh.size() - 1;
-    for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
-      std::size_t slot = hashes_[id] & mask;
-      while (fresh[slot] != kNoId) slot = (slot + 1) & mask;
-      fresh[slot] = id;
-    }
-    slots_ = std::move(fresh);
-    mask_ = mask;
-  }
-
-  const Model& model_;
-  std::size_t stride_;
-  std::size_t blocks_;
-  std::vector<std::int32_t> arena_;     // size() * stride_ values
-  std::vector<std::uint64_t> hashes_;   // memoized hash per id
-  std::vector<std::uint32_t> slots_;    // open addressing: id or kNoId
-  std::size_t mask_ = 0;
-  std::vector<std::uint64_t> guard_bits_;  // size() * blocks_ words
-};
-
-/// Applies `cmd` to `pre` (into `next`, which must already equal `pre`) and
-/// returns the mask of variables whose value actually changed.
-std::uint64_t apply_command(const Command& cmd, const State& pre, State& next) {
-  std::uint64_t changed = 0;
-  for (const Assign& a : cmd.updates) {
-    next[a.var] = a.src >= 0 ? pre[a.src] : a.value;
-  }
-  for (const Assign& a : cmd.updates) {
-    if (next[a.var] != pre[a.var]) changed |= var_bit(a.var);
-  }
-  return changed;
-}
-
-/// Iterates the set bits of a guard-bit vector: fn(command_index).
-template <typename Fn>
-void for_enabled(const std::vector<std::uint64_t>& bits, std::size_t n_commands, Fn&& fn) {
-  for (std::size_t block = 0; block < bits.size(); ++block) {
-    std::uint64_t word = bits[block];
-    while (word != 0) {
-      std::size_t j = block * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
-      word &= word - 1;
-      if (j >= n_commands) return;
-      fn(j);
-    }
-  }
-}
-
-}  // namespace
 
 std::string CounterExample::render(const Model& model) const {
   std::string out;
@@ -248,9 +70,117 @@ std::vector<const TraceStep*> CounterExample::adversary_steps() const {
   return out;
 }
 
-// --- Safety --------------------------------------------------------------
+// --- Successor sources ---------------------------------------------------
+//
+// Every search below is written once, over a successor source that owns the
+// search's visited set. The live source interns states as they are reached
+// (the on-the-fly kernel); the graph source walks a prebuilt ReachGraph and
+// only tracks which graph states this search has discovered. Both number
+// states in discovery order and enumerate a state's enabled commands in
+// command order, so a search produces the same trace and the same counts
+// over either source.
 
 namespace {
+
+using kernel::kNoId;
+
+class LiveSource {
+ public:
+  explicit LiveSource(const Model& model)
+      : model_(model),
+        space_(model),
+        pre_(model.var_count(), 0),
+        next_(model.var_count(), 0),
+        pre_bits_(space_.blocks(), 0) {}
+
+  /// Visits the initial state; kNoId when `cap` rejects it.
+  std::uint32_t visit_root(std::size_t cap, bool* fresh) {
+    return space_.intern(model_.initial(), cap, fresh, nullptr, 0);
+  }
+
+  /// Calls fn(command index, pre, post, successor token) for every enabled
+  /// command of state `id`; the token is what visit() takes.
+  template <typename Fn>
+  void expand(std::uint32_t id, Fn&& fn) {
+    // Local copies: the arena and guard cache may reallocate on insert.
+    space_.copy_state(id, pre_);
+    space_.copy_guard_bits(id, pre_bits_);
+    const std::vector<Command>& commands = model_.commands();
+    kernel::for_enabled(pre_bits_, commands.size(), [&](std::size_t j) {
+      next_ = pre_;
+      std::uint64_t changed = kernel::apply_command(commands[j], pre_, next_);
+      fn(j, pre_, next_, changed);
+    });
+  }
+
+  /// Visits the post state of the edge being expanded: its id, or kNoId for
+  /// a new state at `cap`; *fresh tells whether this visit discovered it.
+  std::uint32_t visit(std::uint64_t changed, std::size_t cap, bool* fresh) {
+    return space_.intern(next_, cap, fresh, pre_bits_.data(), changed);
+  }
+
+  std::size_t size() const { return space_.size(); }
+  std::size_t bytes() const { return space_.bytes(); }
+  State state(std::uint32_t id) const { return space_.state(id); }
+
+ private:
+  const Model& model_;
+  kernel::StateSpace space_;
+  State pre_, next_;
+  std::vector<std::uint64_t> pre_bits_;
+};
+
+class GraphSource {
+ public:
+  explicit GraphSource(const ReachGraph& graph)
+      : graph_(graph),
+        stride_(graph.model().var_count()),
+        local_of_(graph.states(), kNoId),
+        pre_(stride_, 0),
+        next_(stride_, 0) {}
+
+  std::uint32_t visit_root(std::size_t cap, bool* fresh) { return visit(0, cap, fresh); }
+
+  template <typename Fn>
+  void expand(std::uint32_t id, Fn&& fn) {
+    const std::uint32_t at = graph_of_[id];
+    const std::int32_t* p = graph_.state_data(at);
+    pre_.assign(p, p + stride_);
+    for (const ReachGraph::Edge& e : graph_.successors(at)) {
+      const std::int32_t* q = graph_.state_data(e.to);
+      next_.assign(q, q + stride_);
+      fn(e.cmd, pre_, next_, e.to);
+    }
+  }
+
+  std::uint32_t visit(std::uint32_t to, std::size_t cap, bool* fresh) {
+    *fresh = false;
+    if (local_of_[to] != kNoId) return local_of_[to];
+    if (graph_of_.size() >= cap) return kNoId;
+    *fresh = true;
+    local_of_[to] = static_cast<std::uint32_t>(graph_of_.size());
+    graph_of_.push_back(to);
+    return local_of_[to];
+  }
+
+  std::size_t size() const { return graph_of_.size(); }
+  std::size_t bytes() const {
+    return (local_of_.capacity() + graph_of_.capacity()) * sizeof(std::uint32_t);
+  }
+  State state(std::uint32_t id) const {
+    const std::int32_t* p = graph_.state_data(graph_of_[id]);
+    return State(p, p + stride_);
+  }
+
+ private:
+  const ReachGraph& graph_;
+  std::size_t stride_;
+  std::vector<std::uint32_t> local_of_;  // graph id -> search id (kNoId: unseen)
+  std::vector<std::uint32_t> graph_of_;  // search id -> graph id
+  State pre_, next_;
+};
+
+// --- Safety --------------------------------------------------------------
 
 /// Shared BFS core: explores until `stop(pre, cmd, post)` says the offending
 /// edge was found (post may equal pre for state-violations encoded as edge
@@ -259,17 +189,16 @@ namespace {
 /// Per-node bookkeeping is two ints (BFS parent + incoming command index);
 /// the trace's labels/metadata are copied out of the model's commands only
 /// when a counterexample is actually reconstructed, never per visited state.
+template <typename Source>
 std::optional<CounterExample> bfs_search(
-    const Model& model, const CheckOptions& options, CheckStats* stats,
-    const std::function<bool(const State&)>& bad_state,
-    const EdgePred* bad_edge) {
-  Timer timer;
+    const Model& model, Source& space, const CheckOptions& options, CheckStats* stats,
+    const std::function<bool(const State&)>& bad_state, const EdgePred* bad_edge) {
+  kernel::Timer timer;
   struct NodeInfo {
     std::uint32_t parent = kNoId;
     std::int32_t cmd = -1;  // index into model.commands(); -1 for the root
   };
   const std::vector<Command>& commands = model.commands();
-  StateSpace space(model);
   std::vector<NodeInfo> info;
   std::vector<std::uint32_t> frontier;  // FIFO: consumed from `head`
   std::size_t head = 0;
@@ -299,44 +228,28 @@ std::optional<CounterExample> bfs_search(
     }
   };
 
-  State init = model.initial();
   bool inserted = false;
-  space.intern(init, options.max_states, &inserted, nullptr, 0);
+  if (space.visit_root(options.max_states, &inserted) == kNoId) {
+    // A zero state budget admits not even the initial state.
+    if (stats) stats->bound_hit = true;
+    finish_stats();
+    return std::nullopt;
+  }
   info.push_back({});
   frontier.push_back(0);
 
-  if (bad_state && bad_state(init)) {
+  if (bad_state && bad_state(model.initial())) {
     finish_stats();
     return CounterExample{};
   }
 
-  State pre(model.var_count(), 0);
-  State next(model.var_count(), 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
-
   std::optional<CounterExample> result;
   while (head < frontier.size() && !result) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
-    }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
-    if (options.max_visited_bytes > 0 && current_bytes() > options.max_visited_bytes) {
-      if (stats) stats->mem_hit = true;
-      break;
-    }
+    if (kernel::over_budget(options, timer, current_bytes(), stats)) break;
     std::uint32_t at = frontier[head++];
-    // Local copies: the arena and guard cache may reallocate on insert.
-    space.copy_state(at, pre);
-    space.copy_guard_bits(at, pre_bits);
-    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
+    space.expand(at, [&](std::size_t j, const State& pre, const State& next, auto succ) {
       if (result) return;
       const Command& cmd = commands[j];
-      next = pre;
-      std::uint64_t changed = apply_command(cmd, pre, next);
       if (options.allowed && !options.allowed(pre, cmd, next)) return;
       if (stats) ++stats->edges_explored;
       if (bad_edge && (*bad_edge)(pre, cmd, next)) {
@@ -344,8 +257,7 @@ std::optional<CounterExample> bfs_search(
         return;
       }
       bool fresh = false;
-      std::uint32_t id =
-          space.intern(next, options.max_states, &fresh, pre_bits.data(), changed);
+      std::uint32_t id = space.visit(succ, options.max_states, &fresh);
       if (id == kNoId) {
         if (stats) stats->bound_hit = true;
         return;
@@ -364,19 +276,6 @@ std::optional<CounterExample> bfs_search(
   return result;
 }
 
-}  // namespace
-
-std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
-                                                       const CheckOptions& options) const {
-  return bfs_search(
-      model_, options, stats, [&](const State& s) { return !good.eval(s); }, nullptr);
-}
-
-std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
-                                                        const CheckOptions& options) const {
-  return bfs_search(model_, options, stats, nullptr, &bad);
-}
-
 // --- Liveness --------------------------------------------------------------
 //
 // Product construction with a one-bit monitor: pending := (pending ∨
@@ -385,15 +284,15 @@ std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, Che
 // response inside the cycle would clear the bit). Deadlocked model states
 // stutter, so a dead end with a pending obligation is also a violation.
 //
-// Model states are interned once in the StateSpace; product nodes reference
+// Model states are interned once by the source; product nodes reference
 // them by id, and the product index is a dense per-state pair of node ids
 // (pending=0/1) — no hashing of state vectors anywhere in the product.
 
-std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
-                                                      const EdgePred& response,
-                                                      CheckStats* stats,
-                                                      const CheckOptions& options) const {
-  Timer timer;
+template <typename Source>
+std::optional<CounterExample> response_search(const Model& model, Source& space,
+                                              const EdgePred& trigger, const EdgePred& response,
+                                              CheckStats* stats, const CheckOptions& options) {
+  kernel::Timer timer;
   constexpr std::int32_t kStutter = -1;
   struct Node {
     std::uint32_t state;
@@ -403,8 +302,7 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
     std::uint32_t parent = kNoId;
     std::int32_t cmd = -1;
   };
-  const std::vector<Command>& commands = model_.commands();
-  StateSpace space(model_);
+  const std::vector<Command>& commands = model.commands();
 
   std::vector<Node> nodes;
   std::vector<NodeInfo> info;
@@ -439,13 +337,10 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
     }
   };
 
-  // Interns the model state, then adds/returns the product node for
-  // (state, pending). Returns kNoId when a budget rejects it.
-  auto add_node = [&](const State& s, const std::uint64_t* parent_bits,
-                      std::uint64_t changed, bool pending, std::uint32_t parent,
+  // Adds/returns the product node for (sid, pending) once the source has
+  // visited the model state. Returns kNoId when a budget rejects it.
+  auto add_node = [&](std::uint32_t sid, bool fresh, bool pending, std::uint32_t parent,
                       std::int32_t cmd) -> std::uint32_t {
-    bool fresh = false;
-    std::uint32_t sid = space.intern(s, options.max_states, &fresh, parent_bits, changed);
     if (sid == kNoId) {
       if (stats) stats->bound_hit = true;
       return kNoId;
@@ -465,66 +360,51 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
     return slot;
   };
 
-  State init = model_.initial();
-  add_node(init, nullptr, 0, false, kNoId, -1);
-
-  State pre(model_.var_count(), 0);
-  State next(model_.var_count(), 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
+  {
+    bool fresh = false;
+    std::uint32_t sid = space.visit_root(options.max_states, &fresh);
+    add_node(sid, fresh, false, kNoId, -1);
+  }
 
   while (head < frontier.size()) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
-    }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
-    if (options.max_visited_bytes > 0 && current_bytes() > options.max_visited_bytes) {
-      if (stats) stats->mem_hit = true;
-      break;
-    }
+    if (kernel::over_budget(options, timer, current_bytes(), stats)) break;
     std::uint32_t at = frontier[head++];
     const bool pending = nodes[at].pending;
-    space.copy_state(nodes[at].state, pre);
-    space.copy_guard_bits(nodes[at].state, pre_bits);
 
     bool any_successor = false;
-    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
-      const Command& cmd = commands[j];
-      next = pre;
-      std::uint64_t changed = apply_command(cmd, pre, next);
-      if (options.allowed && !options.allowed(pre, cmd, next)) return;
-      any_successor = true;
-      if (stats) ++stats->edges_explored;
-      bool trig = trigger(pre, cmd, next);
-      bool resp = response(pre, cmd, next);
-      bool next_pending = (pending || trig) && !resp;
-      std::uint32_t to = add_node(next, pre_bits.data(), changed, next_pending, at,
-                                  static_cast<std::int32_t>(j));
-      if (to == kNoId) return;
-      if (pending && next_pending) {
-        pending_edges[at].push_back({to, static_cast<std::int32_t>(j)});
-      }
-    });
+    space.expand(nodes[at].state,
+                 [&](std::size_t j, const State& pre, const State& next, auto succ) {
+                   const Command& cmd = commands[j];
+                   if (options.allowed && !options.allowed(pre, cmd, next)) return;
+                   any_successor = true;
+                   if (stats) ++stats->edges_explored;
+                   bool trig = trigger(pre, cmd, next);
+                   bool resp = response(pre, cmd, next);
+                   bool next_pending = (pending || trig) && !resp;
+                   bool fresh = false;
+                   std::uint32_t sid = space.visit(succ, options.max_states, &fresh);
+                   std::uint32_t to =
+                       add_node(sid, fresh, next_pending, at, static_cast<std::int32_t>(j));
+                   if (to == kNoId) return;
+                   if (pending && next_pending) {
+                     pending_edges[at].push_back({to, static_cast<std::int32_t>(j)});
+                   }
+                 });
     if (!any_successor && pending) {
       // Deadlock with an unanswered trigger: stutter self-loop.
       pending_edges[at].push_back({at, kStutter});
     }
   }
 
-  // Cycle detection restricted to pending=true nodes (iterative DFS).
+  // Cycle detection restricted to pending=true nodes (iterative DFS). One
+  // root's DFS can cover the whole pending subgraph, so the watchdog is
+  // polled inside it too, every kPollSteps edge steps.
+  constexpr std::size_t kPollSteps = 4096;
+  std::size_t steps = 0;
+  bool stopped = false;
   std::vector<std::uint8_t> color(nodes.size(), 0);  // 0 white, 1 grey, 2 black
-  for (std::uint32_t root = 0; root < nodes.size(); ++root) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
-    }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
+  for (std::uint32_t root = 0; root < nodes.size() && !stopped; ++root) {
+    if (kernel::interrupted(options, timer, stats)) break;
     if (!nodes[root].pending || color[root] != 0) continue;
     struct Frame {
       std::uint32_t node;
@@ -534,6 +414,10 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
     std::vector<Frame> stack{{root, 0, kStutter}};
     color[root] = 1;
     while (!stack.empty()) {
+      if (++steps % kPollSteps == 0 && kernel::interrupted(options, timer, stats)) {
+        stopped = true;
+        break;
+      }
       Frame& f = stack.back();
       if (f.next_edge >= pending_edges[f.node].size()) {
         color[f.node] = 2;
@@ -575,6 +459,47 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
 
   finish_stats();
   return std::nullopt;
+}
+
+}  // namespace
+
+Checker::Checker(const Model& model, const ReachGraph* graph) : model_(model), graph_(graph) {
+  if (graph_ && &graph_->model() != &model_) {
+    throw std::invalid_argument("mc::Checker: reachable graph was built for another model");
+  }
+}
+
+std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
+                                                       const CheckOptions& options) const {
+  auto bad = [&](const State& s) { return !good.eval(s); };
+  if (graph_) {
+    GraphSource source(*graph_);
+    return bfs_search(model_, source, options, stats, bad, nullptr);
+  }
+  LiveSource source(model_);
+  return bfs_search(model_, source, options, stats, bad, nullptr);
+}
+
+std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
+                                                        const CheckOptions& options) const {
+  if (graph_) {
+    GraphSource source(*graph_);
+    return bfs_search(model_, source, options, stats, nullptr, &bad);
+  }
+  LiveSource source(model_);
+  return bfs_search(model_, source, options, stats, nullptr, &bad);
+}
+
+std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
+                                                      const EdgePred& response,
+                                                      CheckStats* stats,
+                                                      const CheckOptions& options) const {
+  if (graph_) {
+    GraphSource source(*graph_);
+    return response_search(model_, source, trigger, response, stats, options);
+  }
+  LiveSource source(model_);
+  return response_search(model_, source, trigger, response, stats, options);
 }
 
 }  // namespace procheck::mc

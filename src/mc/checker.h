@@ -5,6 +5,10 @@
 // The CEGAR loop's "property refinement" is realized by the `allowed` edge
 // filter in CheckOptions: adversary actions the cryptographic verifier
 // adjudicated infeasible are excluded from the next verification iteration.
+//
+// A Checker explores the model on the fly, or — when handed the model's
+// ReachGraph (reach_graph.h) — walks the stored graph instead; both give the
+// same counterexamples and the same CheckStats counts.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +21,8 @@
 #include "mc/model.h"
 
 namespace procheck::mc {
+
+class ReachGraph;
 
 struct TraceStep {
   std::string label;
@@ -71,7 +77,8 @@ struct CheckOptions {
   /// not an allocator limit.
   std::size_t max_visited_bytes = 0;
   /// Cooperative cancellation (the supervisor's watchdog): polled once per
-  /// dequeued state; a cancelled search stops with stats->cancelled set.
+  /// dequeued state (and periodically inside the liveness lasso search); a
+  /// cancelled search stops with stats->cancelled set.
   const CancelToken* cancel = nullptr;
   /// When set, edges for which this returns false are pruned (CEGAR
   /// refinement of the threat model).
@@ -80,7 +87,9 @@ struct CheckOptions {
 
 class Checker {
  public:
-  explicit Checker(const Model& model) : model_(model) {}
+  /// `graph`, when given, must be ReachGraph::build(model) output; it must
+  /// outlive the checker. Searches then walk it instead of exploring.
+  explicit Checker(const Model& model, const ReachGraph* graph = nullptr);
 
   /// G good — returns a finite trace to a state violating `good`.
   std::optional<CounterExample> check_invariant(const Expr& good, CheckStats* stats,
@@ -98,6 +107,7 @@ class Checker {
 
  private:
   const Model& model_;
+  const ReachGraph* graph_;
 };
 
 }  // namespace procheck::mc

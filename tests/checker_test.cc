@@ -10,6 +10,7 @@
 #include "checker/property.h"
 #include "common/strings.h"
 #include "fsm/refinement.h"
+#include "mc/reach_graph.h"
 
 namespace procheck::checker {
 namespace {
@@ -407,6 +408,32 @@ TEST(ParallelAnalysis, SubsetDeterminism) {
   options.jobs = 4;
   ImplementationReport par = ProChecker::analyze(ue::StackProfile::cls(), options);
   EXPECT_EQ(seq.results.size(), options.only_properties.size());
+  expect_reports_identical(seq, par);
+}
+
+// Many workers querying one shared reachable graph (the supervisor's fan-out
+// shape): the graph is read-only after build, so concurrent queries must
+// equal the sequential ones. Also run under ThreadSanitizer (`tsan` preset).
+TEST(SharedGraph, ConcurrentQueriesMatchSequential) {
+  const ExtractedModels& m = models_for(ue::StackProfile::cls());
+  const threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
+  const std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(tm.model);
+  ASSERT_TRUE(graph.has_value());
+  const std::vector<std::string> ids = {"S01", "S02", "S05", "S20", "P01", "P04"};
+  auto check = [&](const std::string& id) {
+    cpv::LteCryptoModel crypto(cpv::LteCryptoModel::Options{});
+    return check_property(tm, m.flat, property(id), crypto, {}, &*graph);
+  };
+  ImplementationReport seq, par;
+  for (const std::string& id : ids) seq.results.push_back(check(id));
+  par.results.resize(ids.size());
+  {
+    ThreadPool pool(4);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      pool.submit([&, i] { par.results[i] = check(ids[i]); });
+    }
+    pool.wait();
+  }
   expect_reports_identical(seq, par);
 }
 

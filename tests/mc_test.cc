@@ -174,6 +174,18 @@ TEST(Invariant, MaxStatesBoundsExploration) {
   EXPECT_TRUE(stats.bound_hit);
 }
 
+TEST(Invariant, ZeroStateBudgetIsTruncatedNotACrash) {
+  Model m = counter_model(5);
+  Checker checker(m);
+  CheckStats stats;
+  CheckOptions options;
+  options.max_states = 0;
+  EXPECT_FALSE(checker.check_edge_never(
+      [](const State&, const Command&, const State&) { return true; }, &stats, options));
+  EXPECT_TRUE(stats.bound_hit);
+  EXPECT_EQ(stats.states_explored, 0u);
+}
+
 TEST(Invariant, TraceRenders) {
   Model m = counter_model(5);
   Checker checker(m);

@@ -1,0 +1,345 @@
+// Oracle for the shared reachable graph (DESIGN.md §10): every search that
+// walks an mc::ReachGraph must equal the on-the-fly search it replaces —
+// same verdict, same counterexample (steps, labels, post states, lasso
+// start), same explored-state and edge counts, same truncation flags.
+//
+// The on-the-fly path is the reference. It is checked against the graph
+// walk on seeded random guarded-command models (with bans, post-state
+// predicates and binding state caps), then through the whole CEGAR loop on
+// the cls catalog and on a srsue/oai selection that covers multi-iteration
+// refinement, liveness lassos at the product-node cap and the divergent
+// implementation issues.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "checker/cegar.h"
+#include "checker/prochecker.h"
+#include "checker/supervisor.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "mc/checker.h"
+#include "mc/reach_graph.h"
+
+namespace procheck {
+namespace {
+
+// --- Random guarded-command models ------------------------------------------
+
+struct RandomCase {
+  mc::Model model;
+  mc::EdgePred bad, trigger, response, allowed;
+  mc::Expr good;
+};
+
+mc::Expr random_atom(Rng& rng, const mc::Model& m) {
+  const int var = static_cast<int>(rng.next_below(m.var_count()));
+  const auto value = static_cast<std::int32_t>(rng.next_below(m.domain(var)));
+  switch (rng.next_below(4)) {
+    case 0:
+      return mc::Expr::eq(var, value);
+    case 1:
+      return mc::Expr::ne(var, value);
+    case 2:
+      return mc::Expr::lt(var, value + 1);
+    default:
+      return mc::Expr::gt(var, value - 1);
+  }
+}
+
+mc::Expr random_guard(Rng& rng, const mc::Model& m) {
+  mc::Expr g = random_atom(rng, m);
+  if (rng.next_below(2) == 0) g = mc::Expr::land(g, random_atom(rng, m));
+  if (rng.next_below(4) == 0) g = mc::Expr::lor(g, random_atom(rng, m));
+  return g;
+}
+
+/// An edge predicate over command membership plus pre- and post-state
+/// values, so the walk's materialized states are exercised on both ends.
+mc::EdgePred random_edge_pred(Rng& rng, const mc::Model& m, int density) {
+  auto cmds = std::make_shared<std::vector<std::uint8_t>>();
+  for (std::size_t j = 0; j < m.commands().size(); ++j) {
+    cmds->push_back(static_cast<int>(rng.next_below(100)) < density ? 1 : 0);
+  }
+  const mc::Expr pre = random_atom(rng, m);
+  const mc::Expr post = random_atom(rng, m);
+  const bool use_post = rng.next_below(2) == 0;
+  return [cmds, pre, post, use_post](const mc::State& a, const mc::Command& c,
+                                     const mc::State& b) {
+    return (*cmds)[c.index] != 0 && (pre.eval(a) || (use_post && post.eval(b)));
+  };
+}
+
+RandomCase random_case(std::uint64_t seed) {
+  Rng rng(seed);
+  RandomCase rc;
+  const int vars = 2 + static_cast<int>(rng.next_below(4));
+  for (int v = 0; v < vars; ++v) {
+    const auto domain = static_cast<std::int32_t>(2 + rng.next_below(3));
+    rc.model.add_var("v" + std::to_string(v), domain,
+                     static_cast<std::int32_t>(rng.next_below(domain)));
+  }
+  const int commands = 3 + static_cast<int>(rng.next_below(10));
+  for (int k = 0; k < commands; ++k) {
+    mc::Command cmd;
+    cmd.label = "c" + std::to_string(k);
+    cmd.guard = random_guard(rng, rc.model);
+    const int assigns = 1 + static_cast<int>(rng.next_below(2));
+    for (int a = 0; a < assigns; ++a) {
+      mc::Assign as;
+      as.var = static_cast<int>(rng.next_below(rc.model.var_count()));
+      if (rng.next_below(4) == 0) {
+        // Copies stay in-domain: only between variables of equal domain.
+        const int src = static_cast<int>(rng.next_below(rc.model.var_count()));
+        if (rc.model.domain(src) == rc.model.domain(as.var)) as.src = src;
+      }
+      as.value = static_cast<std::int32_t>(rng.next_below(rc.model.domain(as.var)));
+      cmd.updates.push_back(as);
+    }
+    cmd.meta.actor = rng.next_below(3) == 0 ? mc::CommandMeta::Actor::kAdversary
+                                            : mc::CommandMeta::Actor::kUe;
+    rc.model.add_command(std::move(cmd));
+  }
+  rc.bad = random_edge_pred(rng, rc.model, 20);
+  rc.trigger = random_edge_pred(rng, rc.model, 30);
+  rc.response = random_edge_pred(rng, rc.model, 30);
+  // Bans as CEGAR applies them (by command), plus a state-dependent one.
+  rc.allowed = [ban = random_edge_pred(rng, rc.model, 25)](
+                   const mc::State& a, const mc::Command& c, const mc::State& b) {
+    return !ban(a, c, b);
+  };
+  rc.good = mc::Expr::lnot(mc::Expr::land(random_atom(rng, rc.model),
+                                          random_atom(rng, rc.model)));
+  return rc;
+}
+
+/// Everything a search reports that the graph walk must reproduce.
+std::string fingerprint(const mc::Model& m, const std::optional<mc::CounterExample>& cex,
+                        const mc::CheckStats& s) {
+  std::string out = "states=" + std::to_string(s.states_explored) +
+                    " edges=" + std::to_string(s.edges_explored) +
+                    " bound=" + std::to_string(s.bound_hit) +
+                    " truncated=" + std::to_string(s.truncated()) + "\n";
+  if (!cex) return out + "no counterexample\n";
+  out += "loop=" + std::to_string(cex->loop_start) + "\n" + cex->render(m);
+  return out;
+}
+
+TEST(Oracle, RandomModelsGraphWalkMatchesLiveSearch) {
+  std::size_t cexs = 0, capped = 0, lassos = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const RandomCase rc = random_case(seed);
+    std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model);
+    ASSERT_TRUE(graph.has_value()) << "seed " << seed;
+    const mc::Checker live(rc.model);
+    const mc::Checker walk(rc.model, &*graph);
+    for (std::size_t cap : {0, 1, 2, 3, 5, 9, 1'000'000}) {
+      for (bool banned : {false, true}) {
+        mc::CheckOptions opts;
+        opts.max_states = cap;
+        if (banned) opts.allowed = rc.allowed;
+        const std::string where = "seed " + std::to_string(seed) + " cap " +
+                                  std::to_string(cap) + (banned ? " banned" : "");
+        {
+          mc::CheckStats a, b;
+          auto x = live.check_edge_never(rc.bad, &a, opts);
+          auto y = walk.check_edge_never(rc.bad, &b, opts);
+          EXPECT_EQ(fingerprint(rc.model, x, a), fingerprint(rc.model, y, b))
+              << "edge-never " << where;
+          cexs += x.has_value();
+          capped += a.bound_hit;
+        }
+        {
+          mc::CheckStats a, b;
+          auto x = live.check_response(rc.trigger, rc.response, &a, opts);
+          auto y = walk.check_response(rc.trigger, rc.response, &b, opts);
+          EXPECT_EQ(fingerprint(rc.model, x, a), fingerprint(rc.model, y, b))
+              << "response " << where;
+          lassos += x.has_value();
+          capped += a.bound_hit;
+        }
+        {
+          mc::CheckStats a, b;
+          auto x = live.check_invariant(rc.good, &a, opts);
+          auto y = walk.check_invariant(rc.good, &b, opts);
+          EXPECT_EQ(fingerprint(rc.model, x, a), fingerprint(rc.model, y, b))
+              << "invariant " << where;
+        }
+      }
+    }
+  }
+  // The generator must actually reach every path it claims to cover.
+  EXPECT_GT(cexs, 100u);
+  EXPECT_GT(lassos, 100u);
+  EXPECT_GT(capped, 100u);
+}
+
+TEST(Oracle, TruncatedBuildYieldsNoGraph) {
+  const RandomCase rc = random_case(7);
+  mc::CheckStats full;
+  std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model, {}, &full);
+  ASSERT_TRUE(graph.has_value());
+  EXPECT_EQ(graph->states(), full.states_explored);
+  EXPECT_EQ(graph->edges(), full.edges_explored);
+  ASSERT_GT(graph->states(), 1u);
+
+  mc::CheckOptions tight;
+  tight.max_states = graph->states() - 1;
+  mc::CheckStats stats;
+  EXPECT_FALSE(mc::ReachGraph::build(rc.model, tight, &stats).has_value());
+  EXPECT_TRUE(stats.bound_hit);
+
+  CancelToken token;
+  token.cancel();
+  mc::CheckOptions cancelled;
+  cancelled.cancel = &token;
+  stats = {};
+  EXPECT_FALSE(mc::ReachGraph::build(rc.model, cancelled, &stats).has_value());
+  EXPECT_TRUE(stats.cancelled);
+}
+
+TEST(Oracle, CheckerRejectsAGraphOfAnotherModel) {
+  const RandomCase a = random_case(3), b = random_case(4);
+  std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(a.model);
+  ASSERT_TRUE(graph.has_value());
+  EXPECT_THROW(mc::Checker(b.model, &*graph), std::invalid_argument);
+}
+
+// --- The catalog through the CEGAR loop ---------------------------------------
+
+using checker::CegarOptions;
+using checker::PropertyDef;
+using checker::PropertyOutcome;
+using checker::PropertyResult;
+
+struct Pipeline {
+  fsm::Fsm flat;
+  threat::ThreatModel tm;
+  cpv::LteCryptoModel::Options crypto;
+  std::optional<mc::ReachGraph> graph;
+};
+
+const Pipeline& pipeline(const ue::StackProfile& profile) {
+  static std::mutex mu;
+  static std::map<std::string, std::unique_ptr<Pipeline>> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<Pipeline>& slot = cache[profile.name];
+  if (!slot) {
+    slot = std::make_unique<Pipeline>();
+    instrument::TraceLogger trace;
+    testing::run_conformance(profile, trace);
+    extractor::ExtractionOptions opts;
+    opts.initial_state = "EMM_DEREGISTERED";
+    opts.chain_substates = false;
+    slot->flat =
+        extractor::extract_basic(trace.records(), extractor::ue_signatures(profile), opts);
+    slot->tm = checker::ProChecker::build_threat_model(slot->flat);
+    slot->crypto.usim_freshness_limit = profile.sqn_freshness_limit.has_value();
+    slot->graph = mc::ReachGraph::build(slot->tm.model);
+  }
+  return *slot;
+}
+
+struct Paths {
+  PropertyResult per_property;
+  PropertyResult graph;
+};
+
+/// Runs every (property, max_states) pair through check_property twice —
+/// without and with the shared graph — on four workers (the reference path
+/// is the slow one; each task owns its verifier).
+std::vector<Paths> run_both_paths(const Pipeline& p, const std::vector<const PropertyDef*>& props,
+                                  const std::vector<std::size_t>& caps) {
+  std::vector<Paths> out(props.size() * caps.size());
+  ThreadPool pool(4);
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    for (std::size_t c = 0; c < caps.size(); ++c) {
+      pool.submit([&, i, c] {
+        cpv::LteCryptoModel crypto(p.crypto);
+        CegarOptions opts;
+        opts.max_states = caps[c];
+        Paths& slot = out[i * caps.size() + c];
+        slot.per_property = checker::check_property(p.tm, p.flat, *props[i], crypto, opts);
+        slot.graph = checker::check_property(p.tm, p.flat, *props[i], crypto, opts, &*p.graph);
+      });
+    }
+  }
+  pool.wait();
+  return out;
+}
+
+std::string encoded(const PropertyResult& r) {
+  PropertyOutcome o;
+  o.result = r;
+  return checker::encode_outcome(o);
+}
+
+void expect_paths_equal(const std::vector<Paths>& all, const std::string& profile) {
+  for (const Paths& p : all) {
+    const PropertyResult& a = p.per_property;
+    const PropertyResult& b = p.graph;
+    const std::string where = profile + "/" + a.property_id;
+    EXPECT_EQ(encoded(a), encoded(b)) << where;
+    EXPECT_EQ(a.total_states, b.total_states) << where;
+    EXPECT_EQ(a.last_stats.states_explored, b.last_stats.states_explored) << where;
+    EXPECT_EQ(a.last_stats.edges_explored, b.last_stats.edges_explored) << where;
+    EXPECT_EQ(a.last_stats.bound_hit, b.last_stats.bound_hit) << where;
+  }
+}
+
+std::vector<const PropertyDef*> select(const std::set<std::string>& ids) {
+  std::vector<const PropertyDef*> out;
+  for (const PropertyDef& p : checker::property_catalog()) {
+    if (ids.empty() || ids.count(p.id)) out.push_back(&p);
+  }
+  return out;
+}
+
+TEST(Oracle, ClsCatalogGraphPathMatchesPerPropertyPath) {
+  const Pipeline& p = pipeline(ue::StackProfile::cls());
+  ASSERT_TRUE(p.graph.has_value());
+  const std::vector<Paths> all = run_both_paths(p, select({}), {1'000'000});
+  expect_paths_equal(all, "cls");
+  // The catalog exercises refinement, lassos and attacks on this profile.
+  std::size_t attacks = 0, refined = 0;
+  for (const Paths& r : all) {
+    attacks += r.per_property.status == PropertyResult::Status::kAttack;
+    refined += r.per_property.iterations > 1;
+  }
+  EXPECT_GE(attacks, 20u);
+  EXPECT_GE(refined, 5u);
+}
+
+const std::set<std::string> kSelection = {"S05", "S06", "S07", "S20", "S21",
+                                          "S25", "S36", "P02", "P03", "P07"};
+
+TEST(Oracle, SrsueAndOaiSelectionMatches) {
+  for (const ue::StackProfile& profile : {ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const Pipeline& p = pipeline(profile);
+    ASSERT_TRUE(p.graph.has_value()) << profile.name;
+    expect_paths_equal(run_both_paths(p, select(kSelection), {1'000'000}), profile.name);
+  }
+}
+
+TEST(Oracle, BindingStateCapsMatch) {
+  // Caps far below the graph size: the walk must stop where the live search
+  // stops, with the same inconclusive note ("... after N states").
+  const Pipeline& cls = pipeline(ue::StackProfile::cls());
+  const std::vector<Paths> capped = run_both_paths(cls, select({}), {300, 5000});
+  expect_paths_equal(capped, "cls");
+  std::size_t bound = 0;
+  for (const Paths& r : capped) bound += r.per_property.last_stats.bound_hit;
+  EXPECT_GT(bound, 50u);
+  for (const ue::StackProfile& profile : {ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    expect_paths_equal(run_both_paths(pipeline(profile), select(kSelection), {300, 5000}),
+                       profile.name);
+  }
+}
+
+}  // namespace
+}  // namespace procheck

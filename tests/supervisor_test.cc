@@ -20,6 +20,7 @@
 #include "checker/supervisor.h"
 #include "common/journal.h"
 #include "common/strings.h"
+#include "mc/reach_graph.h"
 
 namespace procheck::checker {
 namespace {
@@ -334,6 +335,102 @@ TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
   EXPECT_EQ(o.attempts, 3);
   EXPECT_TRUE(contains(o.result.note, "budget persisted through 3 attempts"))
       << o.result.note;
+}
+
+// --- Shared reachable graph: built once, contained like a property ---------
+
+TEST(SupervisorGraph, CleanRunChecksEveryPropertyAgainstOneGraph) {
+  auto sel = select({"S01", "S05", "P04"});
+  SupervisedRun run = run_sup(sel, {}, {});
+  std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(pipeline().tm.model);
+  ASSERT_TRUE(graph.has_value());
+  EXPECT_EQ(run.graph_states, graph->states());
+  EXPECT_EQ(run.graph_edges, graph->edges());
+  EXPECT_GT(run.graph_build_seconds, 0.0);
+}
+
+/// The outcome a graph-free, single-attempt supervisor run produces.
+PropertyOutcome per_property_outcome(const PropertyDef& prop, const CegarOptions& cegar,
+                                     FailureClass failure) {
+  cpv::LteCryptoModel crypto(cpv::LteCryptoModel::Options{});
+  PropertyOutcome out;
+  out.result = check_property(pipeline().tm, pipeline().flat, prop, crypto, cegar);
+  out.failure = failure;
+  out.diagnostics = out.result.note;
+  return out;
+}
+
+TEST(SupervisorGraph, TrippedBuildFallsBackToPerPropertyPath) {
+  auto sel = select({"S05"});
+  {
+    SupervisorOptions opts;
+    opts.deadline_per_property = 1e-9;
+    SupervisedRun run = run_sup(sel, opts, {});
+    EXPECT_EQ(run.graph_states, 0u);
+    CegarOptions ref;
+    ref.max_seconds = 1e-9;
+    EXPECT_EQ(encode_outcome(run.outcomes[0]),
+              encode_outcome(per_property_outcome(*sel[0], ref, FailureClass::kDeadline)));
+  }
+  {
+    SupervisorOptions opts;
+    opts.mem_ceiling_bytes = 1;
+    SupervisedRun run = run_sup(sel, opts, {});
+    EXPECT_EQ(run.graph_states, 0u);
+    CegarOptions ref;
+    ref.max_visited_bytes = 1;
+    EXPECT_EQ(encode_outcome(run.outcomes[0]),
+              encode_outcome(per_property_outcome(*sel[0], ref, FailureClass::kMemCeiling)));
+  }
+  {
+    CegarOptions cegar;
+    cegar.max_states = 3;
+    SupervisorOptions opts;
+    opts.retries = 2;
+    opts.backoff_seconds = 0;
+    opts.degrade_floor_states = 2;
+    SupervisedRun run = run_sup(sel, opts, cegar);
+    EXPECT_EQ(run.graph_states, 0u);
+    // The last attempt ran at the degraded floor of 2 states.
+    CegarOptions last;
+    last.max_states = 2;
+    PropertyOutcome ref = per_property_outcome(*sel[0], last, FailureClass::kBudget);
+    ref.attempts = 3;
+    ref.result.note += " [supervisor: budget persisted through 3 attempts]";
+    EXPECT_EQ(encode_outcome(run.outcomes[0]), encode_outcome(ref));
+  }
+  {
+    CancelToken token;
+    token.cancel();
+    SupervisorOptions opts;
+    opts.cancel = &token;
+    SupervisedRun run = run_sup(select({"S01", "S05", "P04"}), opts, {});
+    EXPECT_EQ(run.graph_states, 0u);
+    EXPECT_EQ(run.cancelled, 3u);
+  }
+}
+
+TEST(SupervisorGraph, FullyResumedJournalBuildsNoGraph) {
+  auto sel = select({"S05", "P04"});
+  const std::string path = tmp_path("journal_graph.jsonl");
+  std::remove(path.c_str());
+  SupervisorOptions first;
+  first.journal_path = path;
+  first.run_tag = "cls";
+  SupervisedRun clean = run_sup(sel, first, {});
+  EXPECT_GT(clean.graph_states, 0u);
+
+  SupervisorOptions resume = first;
+  resume.resume = true;
+  SupervisedRun adopted = run_sup(sel, resume, {});
+  EXPECT_EQ(adopted.resumed, sel.size());
+  EXPECT_EQ(adopted.graph_states, 0u);
+  EXPECT_EQ(adopted.graph_build_seconds, 0.0);
+  expect_outcomes_equal(clean.outcomes, [&] {
+    std::vector<PropertyOutcome> v = adopted.outcomes;
+    for (PropertyOutcome& o : v) o.resumed = false;
+    return v;
+  }());
 }
 
 TEST(Supervisor, ParallelOutcomesMatchSequential) {
