@@ -90,33 +90,33 @@ class LiveSource {
       : model_(model),
         space_(model),
         pre_(model.var_count(), 0),
-        next_(model.var_count(), 0),
-        pre_bits_(space_.blocks(), 0) {}
+        next_(model.var_count(), 0) {}
 
   /// Visits the initial state; kNoId when `cap` rejects it.
   std::uint32_t visit_root(std::size_t cap, bool* fresh) {
-    return space_.intern(model_.initial(), cap, fresh, nullptr, 0);
+    return space_.intern(model_.initial(), cap, fresh);
   }
 
   /// Calls fn(command index, pre, post, successor token) for every enabled
   /// command of state `id`; the token is what visit() takes.
   template <typename Fn>
   void expand(std::uint32_t id, Fn&& fn) {
-    // Local copies: the arena and guard cache may reallocate on insert.
+    // A local copy: the arena may reallocate on insert.
     space_.copy_state(id, pre_);
-    space_.copy_guard_bits(id, pre_bits_);
+    space_.enabled(pre_, enabled_);
     const std::vector<Command>& commands = model_.commands();
-    kernel::for_enabled(pre_bits_, commands.size(), [&](std::size_t j) {
+    kernel::for_enabled(enabled_, [&](std::size_t j) {
       next_ = pre_;
-      std::uint64_t changed = kernel::apply_command(commands[j], pre_, next_);
-      fn(j, pre_, next_, changed);
+      kernel::apply_command(commands[j], pre_, next_);
+      fn(j, pre_, next_, j);
     });
   }
 
-  /// Visits the post state of the edge being expanded: its id, or kNoId for
-  /// a new state at `cap`; *fresh tells whether this visit discovered it.
-  std::uint32_t visit(std::uint64_t changed, std::size_t cap, bool* fresh) {
-    return space_.intern(next_, cap, fresh, pre_bits_.data(), changed);
+  /// Visits the post state of the edge being expanded (the token is its
+  /// command index, unused here): its id, or kNoId for a new state at
+  /// `cap`; *fresh tells whether this visit discovered it.
+  std::uint32_t visit(std::size_t /*cmd*/, std::size_t cap, bool* fresh) {
+    return space_.intern(next_, cap, fresh);
   }
 
   std::size_t size() const { return space_.size(); }
@@ -127,7 +127,7 @@ class LiveSource {
   const Model& model_;
   kernel::StateSpace space_;
   State pre_, next_;
-  std::vector<std::uint64_t> pre_bits_;
+  std::vector<std::uint64_t> enabled_;
 };
 
 class GraphSource {

@@ -48,7 +48,7 @@ struct CheckStats {
   std::size_t states_explored = 0;
   std::size_t edges_explored = 0;
   /// Bytes held by the visited-state structures at the end of the search
-  /// (interned-state arena + hash table + guard cache + search bookkeeping).
+  /// (interned-state arena + hash table + guard tables + search bookkeeping).
   /// Growth is monotonic, so this is also the peak.
   std::size_t visited_bytes = 0;
   double seconds = 0.0;

@@ -1,5 +1,7 @@
 #include "mc/model.h"
 
+#include <stdexcept>
+
 namespace procheck::mc {
 
 Expr Expr::constant(bool v) {
@@ -97,6 +99,15 @@ void Expr::collect_vars(std::vector<int>& out) const {
   }
 }
 
+void Expr::collect_conjuncts(std::vector<Expr>& out) const {
+  if (kind_ != Kind::kAnd) {
+    out.push_back(*this);
+    return;
+  }
+  lhs_->collect_conjuncts(out);
+  rhs_->collect_conjuncts(out);
+}
+
 bool Expr::eval(const State& s) const {
   switch (kind_) {
     case Kind::kConst:
@@ -121,6 +132,12 @@ bool Expr::eval(const State& s) const {
 
 int Model::add_var(const std::string& name, std::int32_t domain, std::int32_t init,
                    std::vector<std::string> value_names) {
+  if (domain < 1) {
+    throw std::invalid_argument("mc::Model: variable " + name + " has an empty domain");
+  }
+  if (init < 0 || init >= domain) {
+    throw std::invalid_argument("mc::Model: variable " + name + " starts outside its domain");
+  }
   names_.push_back(name);
   domains_.push_back(domain);
   value_names_.push_back(std::move(value_names));
@@ -129,13 +146,27 @@ int Model::add_var(const std::string& name, std::int32_t domain, std::int32_t in
 }
 
 void Model::add_command(Command cmd) {
-  cmd.index = static_cast<std::int32_t>(commands_.size());
-  CommandDeps deps;
+  auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("mc::Model: command " + cmd.label + " " + what);
+  };
+  auto declared = [&](int v) { return v >= 0 && static_cast<std::size_t>(v) < names_.size(); };
   std::vector<int> read;
   cmd.guard.collect_vars(read);
-  for (int v : read) deps.guard_reads |= var_bit(v);
-  for (const Assign& a : cmd.updates) deps.writes |= var_bit(a.var);
-  deps_.push_back(deps);
+  for (int v : read) {
+    if (!declared(v)) reject("guard reads an undeclared variable");
+  }
+  for (const Assign& a : cmd.updates) {
+    if (!declared(a.var)) reject("assigns an undeclared variable");
+    if (a.src >= 0) {
+      if (!declared(a.src)) reject("copies an undeclared variable");
+      if (domains_[a.src] > domains_[a.var]) {
+        reject("copies " + names_[a.src] + " into the narrower " + names_[a.var]);
+      }
+    } else if (a.value < 0 || a.value >= domains_[a.var]) {
+      reject("assigns " + names_[a.var] + " a value outside its domain");
+    }
+  }
+  cmd.index = static_cast<std::int32_t>(commands_.size());
   commands_.push_back(std::move(cmd));
 }
 

@@ -21,13 +21,13 @@ std::optional<ReachGraph> ReachGraph::build(const Model& model, const CheckOptio
   };
 
   bool inserted = false;
-  space.intern(model.initial(), options.max_states, &inserted, nullptr, 0);
+  space.intern(model.initial(), options.max_states, &inserted);
   bool complete = inserted;
   if (!complete && stats) stats->bound_hit = true;
 
   State pre(model.var_count(), 0);
   State next(model.var_count(), 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
+  std::vector<std::uint64_t> enabled;
   // Ids are handed out in discovery order, so walking them in order is the
   // checker's FIFO frontier: state `at` is expanded exactly when the
   // on-the-fly BFS would dequeue it.
@@ -37,13 +37,13 @@ std::optional<ReachGraph> ReachGraph::build(const Model& model, const CheckOptio
       break;
     }
     space.copy_state(at, pre);
-    space.copy_guard_bits(at, pre_bits);
-    kernel::for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
+    space.enabled(pre, enabled);
+    kernel::for_enabled(enabled, [&](std::size_t j) {
       if (!complete) return;
       next = pre;
-      std::uint64_t changed = kernel::apply_command(commands[j], pre, next);
+      kernel::apply_command(commands[j], pre, next);
       bool fresh = false;
-      std::uint32_t id = space.intern(next, options.max_states, &fresh, pre_bits.data(), changed);
+      std::uint32_t id = space.intern(next, options.max_states, &fresh);
       if (id == kNoId) {
         if (stats) stats->bound_hit = true;
         complete = false;

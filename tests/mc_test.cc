@@ -6,6 +6,7 @@
 #include "common/strings.h"
 #include "mc/checker.h"
 #include "mc/model.h"
+#include "mc/state_space.h"
 
 namespace procheck::mc {
 namespace {
@@ -119,6 +120,39 @@ TEST(Model, LaterAssignmentWins) {
   cmd.updates = {{a, 1}, {a, 3}};
   m.add_command(std::move(cmd));
   m.successors(m.initial(), [&](const State& next, const Command&) { EXPECT_EQ(next[0], 3); });
+}
+
+TEST(Model, RejectsOutOfDomainValues) {
+  Model m;
+  EXPECT_THROW(m.add_var("empty", 0, 0), std::invalid_argument);
+  EXPECT_THROW(m.add_var("low", 3, -1), std::invalid_argument);
+  EXPECT_THROW(m.add_var("high", 3, 3), std::invalid_argument);
+  EXPECT_EQ(m.var_count(), 0u);  // a rejected variable is not declared
+  int wide = m.add_var("wide", 4, 3);
+  int narrow = m.add_var("narrow", 2, 1);
+
+  auto command = [](Expr guard, std::vector<Assign> updates) {
+    Command cmd;
+    cmd.label = "c";
+    cmd.guard = std::move(guard);
+    cmd.updates = std::move(updates);
+    return cmd;
+  };
+  const Expr yes = Expr::constant(true);
+  EXPECT_THROW(m.add_command(command(yes, {{narrow, 2}})), std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(yes, {{narrow, -1}})), std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(yes, {{narrow, 0, wide}})), std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(yes, {{2, 0}})), std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(yes, {{narrow, 0, 2}})), std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(Expr::land(yes, Expr::eq(2, 0)), {})),
+               std::invalid_argument);
+  EXPECT_THROW(m.add_command(command(Expr::lnot(Expr::eq(-1, 0)), {})), std::invalid_argument);
+  EXPECT_TRUE(m.commands().empty());
+
+  // In-domain constants, widening copies and out-of-domain guard constants
+  // (a guard only compares) are all fine.
+  m.add_command(command(Expr::lt(wide, 7), {{wide, 0, narrow}, {narrow, 1}}));
+  EXPECT_EQ(m.commands().size(), 1u);
 }
 
 TEST(Model, RenderAndSmvDump) {
@@ -363,9 +397,9 @@ TEST(Response, AllowedFilterAppliesToLiveness) {
 
 // --- Interned-state kernel: search equivalence pins -----------------------------
 //
-// The visited set is an interned arena + open-addressing table with an
-// incrementally maintained guard cache (guards are only re-evaluated when a
-// transition changed a variable their read-set mentions). These tests pin
+// The visited set is an interned arena + open-addressing table, and a
+// state's enabled commands come from guard tables compiled once per model
+// (per-value enable masks plus cross-variable residuals). These tests pin
 // exact visited counts so any rewrite that silently explores a different
 // state space — over- or under-approximating — fails loudly.
 
@@ -404,23 +438,64 @@ TEST(Kernel, VisitedStateCountsArePinned) {
   EXPECT_EQ(toggles.edges_explored, 8u);   // 2 enabled commands per state
 }
 
-TEST(Kernel, CommandDepsCoverGuardReadsAndWrites) {
-  Model m = toggle_model();
-  ASSERT_EQ(m.deps().size(), 4u);
-  EXPECT_EQ(m.deps()[0].guard_reads, var_bit(0));  // a0 reads a
-  EXPECT_EQ(m.deps()[0].writes, var_bit(0));       // a0 writes a
-  EXPECT_EQ(m.deps()[1].guard_reads, var_bit(1));  // b0 reads b
+TEST(Kernel, GuardTablesSplitConjunctsByVariable) {
+  // Guards of every shape the compiler distinguishes: one-variable
+  // conjuncts (table rows), a cross-variable disjunction under an AND
+  // (residual), a negated one-variable conjunct, a constant-false conjunct
+  // (never enabled) and a constant-true guard. The enabled set the tables
+  // give must equal guard.eval on every state of the domain product.
+  Model m;
+  int a = m.add_var("a", 3, 0);
+  int b = m.add_var("b", 2, 0);
+  int c = m.add_var("c", 4, 0);
+  auto add = [&](const std::string& label, Expr guard) {
+    Command cmd;
+    cmd.label = label;
+    cmd.guard = std::move(guard);
+    m.add_command(std::move(cmd));
+  };
+  add("rows", Expr::all({Expr::eq(a, 1), Expr::lt(c, 2)}));
+  add("residual", Expr::land(Expr::eq(a, 2), Expr::lor(Expr::eq(b, 1), Expr::gt(c, 2))));
+  add("negated", Expr::lnot(Expr::ne(b, 1)));
+  add("never", Expr::land(Expr::eq(c, 0), Expr::constant(false)));
+  add("always", Expr::constant(true));
   EXPECT_EQ(m.commands()[2].index, 2);
+
+  std::vector<Expr> conjuncts;
+  m.commands()[1].guard.collect_conjuncts(conjuncts);
+  ASSERT_EQ(conjuncts.size(), 2u);
   std::vector<int> read;
+  conjuncts[1].collect_vars(read);
+  EXPECT_EQ(read, (std::vector<int>{1, 2}));  // the residual reads b and c
+  read.clear();
   Expr::land(Expr::eq(0, 1), Expr::lnot(Expr::ne(1, 0))).collect_vars(read);
   EXPECT_EQ(read, (std::vector<int>{0, 1}));
+
+  const kernel::GuardTables tables(m);
+  std::vector<std::uint64_t> bits;
+  std::size_t residual_on = 0;
+  for (std::int32_t x = 0; x < 3; ++x) {
+    for (std::int32_t y = 0; y < 2; ++y) {
+      for (std::int32_t z = 0; z < 4; ++z) {
+        const State s{x, y, z};
+        tables.enabled(s, bits);
+        ASSERT_EQ(bits.size(), 1u);
+        for (std::size_t j = 0; j < m.commands().size(); ++j) {
+          EXPECT_EQ(((bits[0] >> j) & 1) != 0, m.commands()[j].guard.eval(s))
+              << m.commands()[j].label << " at " << m.render_state(s);
+        }
+        EXPECT_EQ(bits[0] & (1u << 3), 0u);  // "never" is never enabled
+        residual_on += (bits[0] >> 1) & 1;
+      }
+    }
+  }
+  EXPECT_EQ(residual_on, 5u);  // a=2 and (b=1 or c=3): 4 states with b=1, 1 with c=3
 }
 
 TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
   // A command that assigns a variable its current value produces a
-  // successor identical to the pre-state. The changed-mask is computed
-  // from values (not from the static write-set), so the guard cache stays
-  // consistent and the successor simply dedups onto its source.
+  // successor identical to the pre-state; it simply dedups onto its source
+  // instead of being interned as a new state.
   Model m = ring_model();
   Command noop;
   noop.label = "noop";
@@ -436,8 +511,8 @@ TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
 
 TEST(Kernel, GuardsOnUnchangedVariablesStayCached) {
   // `watch` fires only while b stays at its initial value; commands
-  // touching `a` must not disturb the cached b-guards. If the pruned
-  // evaluation were wrong in either direction the reachable set would
+  // touching `a` must not change whether it is enabled. If the table rows
+  // for b or c were wrong in either direction the reachable set would
   // change: 4 toggle states plus the c=1 variants reached via watch.
   Model m = toggle_model();
   int c = m.add_var("c", 2, 0);

@@ -9,8 +9,14 @@
 // the cls catalog and on a srsue/oai selection that covers multi-iteration
 // refinement, liveness lassos at the product-node cap and the divergent
 // implementation issues.
+//
+// Both paths share one kernel, so the graph itself is checked against a
+// naive reference BFS over Model::successors (Expr::eval guards, std::map
+// visited set) on the random models and on the cls, srsue and oai threat
+// models: same states in the same id order, same successor rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,8 +43,7 @@ struct RandomCase {
   mc::Expr good;
 };
 
-mc::Expr random_atom(Rng& rng, const mc::Model& m) {
-  const int var = static_cast<int>(rng.next_below(m.var_count()));
+mc::Expr random_atom(Rng& rng, const mc::Model& m, int var) {
   const auto value = static_cast<std::int32_t>(rng.next_below(m.domain(var)));
   switch (rng.next_below(4)) {
     case 0:
@@ -52,10 +57,25 @@ mc::Expr random_atom(Rng& rng, const mc::Model& m) {
   }
 }
 
+mc::Expr random_atom(Rng& rng, const mc::Model& m) {
+  return random_atom(rng, m, static_cast<int>(rng.next_below(m.var_count())));
+}
+
 mc::Expr random_guard(Rng& rng, const mc::Model& m) {
   mc::Expr g = random_atom(rng, m);
   if (rng.next_below(2) == 0) g = mc::Expr::land(g, random_atom(rng, m));
   if (rng.next_below(4) == 0) g = mc::Expr::lor(g, random_atom(rng, m));
+  // The shapes the kernel's guard tables compile differently: a negated
+  // conjunct, a disjunction over two distinct variables under an AND (kept
+  // as a residual) and a guard that can never hold.
+  if (rng.next_below(4) == 0) g = mc::Expr::land(g, mc::Expr::lnot(random_atom(rng, m)));
+  if (rng.next_below(3) == 0) {
+    const int n = static_cast<int>(m.var_count());
+    const int a = static_cast<int>(rng.next_below(n));
+    const int b = (a + 1 + static_cast<int>(rng.next_below(n - 1))) % n;
+    g = mc::Expr::land(g, mc::Expr::lor(random_atom(rng, m, a), random_atom(rng, m, b)));
+  }
+  if (rng.next_below(16) == 0) g = mc::Expr::land(g, mc::Expr::constant(false));
   return g;
 }
 
@@ -243,6 +263,95 @@ const Pipeline& pipeline(const ue::StackProfile& profile) {
     slot->graph = mc::ReachGraph::build(slot->tm.model);
   }
   return *slot;
+}
+
+// --- Reference exploration -----------------------------------------------------
+//
+// The kernel (guard tables, interning) is checked against the simplest
+// exploration there is: a BFS over Model::successors, which evaluates every
+// guard with Expr::eval, with a std::map visited set. Ids are discovery
+// order and rows are in command order, as ReachGraph promises.
+
+struct ReferenceGraph {
+  std::vector<mc::State> states;                        // id order
+  std::vector<std::vector<mc::ReachGraph::Edge>> rows;  // per id, command order
+};
+
+ReferenceGraph reference_bfs(const mc::Model& m) {
+  ReferenceGraph ref;
+  std::map<mc::State, std::uint32_t> ids;
+  auto id_of = [&](const mc::State& s) {
+    auto [it, fresh] = ids.emplace(s, static_cast<std::uint32_t>(ref.states.size()));
+    if (fresh) ref.states.push_back(s);
+    return it->second;
+  };
+  id_of(m.initial());
+  for (std::size_t at = 0; at < ref.states.size(); ++at) {
+    const mc::State pre = ref.states[at];  // id_of may reallocate ref.states
+    std::vector<mc::ReachGraph::Edge> row;
+    m.successors(pre, [&](const mc::State& next, const mc::Command& cmd) {
+      row.push_back({static_cast<std::uint32_t>(cmd.index), id_of(next)});
+    });
+    ref.rows.push_back(std::move(row));
+  }
+  return ref;
+}
+
+/// "" when `graph` equals the reference exactly; else the first difference.
+std::string compare_to_reference(const mc::ReachGraph& graph, const mc::Model& m) {
+  const ReferenceGraph ref = reference_bfs(m);
+  if (graph.states() != ref.states.size()) {
+    return "states " + std::to_string(graph.states()) + " vs " + std::to_string(ref.states.size());
+  }
+  for (std::uint32_t id = 0; id < ref.states.size(); ++id) {
+    const std::int32_t* s = graph.state_data(id);
+    if (!std::equal(ref.states[id].begin(), ref.states[id].end(), s)) {
+      return "state " + std::to_string(id) + " differs";
+    }
+    const auto row = graph.successors(id);
+    if (!std::equal(row.begin(), row.end(), ref.rows[id].begin(), ref.rows[id].end(),
+                    [](const mc::ReachGraph::Edge& a, const mc::ReachGraph::Edge& b) {
+                      return a.cmd == b.cmd && a.to == b.to;
+                    })) {
+      return "row " + std::to_string(id) + " differs (" + m.render_state(ref.states[id]) + ")";
+    }
+  }
+  return "";
+}
+
+TEST(Oracle, RandomModelsReachGraphEqualsReferenceBfs) {
+  std::size_t residuals = 0, never = 0, states = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const RandomCase rc = random_case(seed);
+    std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model);
+    ASSERT_TRUE(graph.has_value()) << "seed " << seed;
+    EXPECT_EQ(compare_to_reference(*graph, rc.model), "") << "seed " << seed;
+    states += graph->states();
+    for (const mc::Command& cmd : rc.model.commands()) {
+      std::vector<mc::Expr> conjuncts;
+      cmd.guard.collect_conjuncts(conjuncts);
+      for (const mc::Expr& c : conjuncts) {
+        std::vector<int> reads;
+        c.collect_vars(reads);
+        std::sort(reads.begin(), reads.end());
+        residuals += std::unique(reads.begin(), reads.end()) - reads.begin() > 1;
+        never += reads.empty() && !c.eval(rc.model.initial());
+      }
+    }
+  }
+  // The generator must reach the table shapes it claims to cover.
+  EXPECT_GT(residuals, 300u);
+  EXPECT_GT(never, 50u);
+  EXPECT_GT(states, 1000u);
+}
+
+TEST(Oracle, ThreatModelGraphsEqualReferenceBfs) {
+  for (const ue::StackProfile& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const Pipeline& p = pipeline(profile);
+    ASSERT_TRUE(p.graph.has_value()) << profile.name;
+    EXPECT_EQ(compare_to_reference(*p.graph, p.tm.model), "") << profile.name;
+  }
 }
 
 struct Paths {
