@@ -1,10 +1,8 @@
 #include "checker/prochecker.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "checker/baseline.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace procheck::checker {
@@ -44,7 +42,7 @@ int ImplementationReport::inconclusive_count() const {
 int ImplementationReport::contained_count() const {
   int n = 0;
   for (const PropertyOutcome& o : outcomes) {
-    n += o.failure != FailureClass::kNone && o.failure != FailureClass::kCancelled ? 1 : 0;
+    n += o.failure != supervise::Failure::kNone && o.failure != supervise::Failure::kCancelled ? 1 : 0;
   }
   return n;
 }
@@ -72,11 +70,7 @@ std::string analysis_options_hash(const AnalysisOptions& options,
     canon += id;
     canon += ',';
   }
-  Bytes data(canon.begin(), canon.end());
-  std::uint64_t h = prf64(0x0A75BA5E, data);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-  return hex;
+  return supervise::fingerprint(0x0A75BA5E, canon);
 }
 
 ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,

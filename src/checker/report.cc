@@ -49,8 +49,8 @@ std::string render_verdicts(const ImplementationReport& report) {
   if (report.contained_count() > 0) {
     out += "contained failures:";
     for (const PropertyOutcome& o : report.outcomes) {
-      if (o.failure == FailureClass::kNone || o.failure == FailureClass::kCancelled) continue;
-      out += ' ' + o.result.property_id + ':' + std::string(to_string(o.failure)) + '(' +
+      if (o.failure == supervise::Failure::kNone || o.failure == supervise::Failure::kCancelled) continue;
+      out += ' ' + o.result.property_id + ':' + std::string(supervise::to_string(o.failure)) + '(' +
              std::to_string(o.attempts) + ')';
     }
     out += '\n';

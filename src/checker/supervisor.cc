@@ -1,43 +1,21 @@
 #include "checker/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
-#include "common/journal.h"
 #include "common/json.h"
 #include "mc/reach_graph.h"
 
 namespace procheck::checker {
 
-std::string_view to_string(FailureClass f) {
-  switch (f) {
-    case FailureClass::kNone:
-      return "none";
-    case FailureClass::kException:
-      return "exception";
-    case FailureClass::kDeadline:
-      return "deadline";
-    case FailureClass::kMemCeiling:
-      return "mem-ceiling";
-    case FailureClass::kBudget:
-      return "budget";
-    case FailureClass::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
+using supervise::Failure;
 
 // Journal record codec: JSON via the shared minimal parser/encoder in
 // common/json.h. The parser is strict — any malformation fails the whole
 // record, which the resume path treats as "absent" (the property is simply
 // re-verified).
-
-namespace {
 
 std::string_view status_token(PropertyResult::Status s) {
   switch (s) {
@@ -53,47 +31,14 @@ std::string_view status_token(PropertyResult::Status s) {
   return "?";
 }
 
+namespace {
+
 std::optional<PropertyResult::Status> status_from_token(std::string_view t) {
   if (t == "verified") return PropertyResult::Status::kVerified;
   if (t == "attack") return PropertyResult::Status::kAttack;
   if (t == "not_applicable") return PropertyResult::Status::kNotApplicable;
   if (t == "inconclusive") return PropertyResult::Status::kInconclusive;
   return std::nullopt;
-}
-
-std::optional<FailureClass> failure_from_token(std::string_view t) {
-  for (FailureClass f : {FailureClass::kNone, FailureClass::kException, FailureClass::kDeadline,
-                         FailureClass::kMemCeiling, FailureClass::kBudget,
-                         FailureClass::kCancelled}) {
-    if (t == to_string(f)) return f;
-  }
-  return std::nullopt;
-}
-
-// v2 adds "opts": the jobs-independent analysis-options fingerprint. A v1
-// journal (no fingerprint) fails the version check and is discarded like any
-// foreign journal — its verdicts may have been produced under different
-// budgets, which is exactly what the fingerprint exists to rule out.
-constexpr int kJournalVersion = 2;
-
-std::string encode_header(const std::string& tag, const std::string& opts) {
-  return std::string("{\"kind\":\"header\",\"v\":") + std::to_string(kJournalVersion) +
-         ",\"tag\":" + json_quote(tag) + ",\"opts\":" + json_quote(opts) + "}";
-}
-
-struct Header {
-  std::string tag;
-  std::string opts;
-};
-
-/// Returns the header fields, or nullopt if the payload is not a valid
-/// current-version header.
-std::optional<Header> decode_header(std::string_view payload) {
-  std::optional<Json> v = json_parse(payload);
-  if (!v || !v->is(Json::Type::kObject)) return std::nullopt;
-  if (v->get_str("kind") != "header") return std::nullopt;
-  if (v->get_int("v") != kJournalVersion) return std::nullopt;
-  return Header{v->get_str("tag"), v->get_str("opts")};
 }
 
 }  // namespace
@@ -107,7 +52,7 @@ std::string encode_outcome(const PropertyOutcome& outcome) {
   out += ",\"note\":" + json_quote(r.note);
   out += ",\"iters\":" + std::to_string(r.iterations);
   out += ",\"attempts\":" + std::to_string(outcome.attempts);
-  out += ",\"failure\":\"" + std::string(to_string(outcome.failure)) + "\"";
+  out += ",\"failure\":\"" + std::string(supervise::to_string(outcome.failure)) + "\"";
   out += ",\"diag\":" + json_quote(outcome.diagnostics);
   out += ",\"refs\":" + json_quote_array(r.refinements);
   if (r.equivalence) {
@@ -162,7 +107,7 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
   r.note = v->get_str("note");
   r.iterations = static_cast<int>(v->get_int("iters"));
   out.attempts = static_cast<int>(v->get_int("attempts", 1));
-  std::optional<FailureClass> failure = failure_from_token(v->get_str("failure"));
+  std::optional<Failure> failure = supervise::parse_failure(v->get_str("failure"));
   if (!failure) return std::nullopt;
   out.failure = *failure;
   out.diagnostics = v->get_str("diag");
@@ -223,54 +168,40 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
 namespace {
 
 /// min over the positive operands (0 = "unbounded" on either side).
-double min_deadline(double a, double b) {
-  if (a <= 0) return b;
-  if (b <= 0) return a;
-  return std::min(a, b);
+template <typename T>
+T min_bound(T a, T b) {
+  return a <= 0 ? b : b <= 0 ? a : std::min(a, b);
 }
 
-std::size_t min_ceiling(std::size_t a, std::size_t b) {
-  if (a == 0) return b;
-  if (b == 0) return a;
-  return std::min(a, b);
-}
-
-FailureClass classify(const PropertyResult& r) {
-  if (r.status != PropertyResult::Status::kInconclusive) return FailureClass::kNone;
+Failure classify(const PropertyResult& r) {
+  if (r.status != PropertyResult::Status::kInconclusive) return Failure::kNone;
   const mc::CheckStats& s = r.last_stats;
   if (s.cancelled || r.note.find("cancelled") != std::string::npos) {
-    return FailureClass::kCancelled;
+    return Failure::kCancelled;
   }
-  if (s.mem_hit) return FailureClass::kMemCeiling;
+  if (s.mem_hit) return Failure::kMemCeiling;
   if (s.deadline_hit || r.note.find("wall-clock") != std::string::npos) {
-    return FailureClass::kDeadline;
+    return Failure::kDeadline;
   }
-  return FailureClass::kBudget;
+  return Failure::kBudget;
 }
 
-PropertyOutcome exception_outcome(const PropertyDef& prop, int attempt,
-                                  const std::string& what) {
+/// An outcome the property's search never produced: an inconclusive row
+/// carrying the containment class.
+PropertyOutcome failed_outcome(const PropertyDef& prop, Failure failure, std::string diagnostics,
+                               std::string note) {
   PropertyOutcome out;
-  out.attempts = attempt;
-  out.failure = FailureClass::kException;
-  out.diagnostics = what;
+  out.failure = failure;
+  out.diagnostics = std::move(diagnostics);
   out.result.status = PropertyResult::Status::kInconclusive;
   out.result.property_id = prop.id;
   out.result.attack_id = prop.attack_id;
-  out.result.note = "worker exception: " + what;
+  out.result.note = std::move(note);
   return out;
 }
 
-PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
-  PropertyOutcome out;
-  out.attempts = 0;
-  out.failure = FailureClass::kCancelled;
-  out.diagnostics = "run cancelled";
-  out.result.status = PropertyResult::Status::kInconclusive;
-  out.result.property_id = prop.id;
-  out.result.attack_id = prop.attack_id;
-  out.result.note = "cancelled before verification started";
-  return out;
+PropertyOutcome exception_outcome(const PropertyDef& prop, const std::string& what) {
+  return failed_outcome(prop, Failure::kException, what, supervise::worker_exception(what));
 }
 
 /// One property under the watchdog + retry/degrade ladder. Exceptions from
@@ -279,56 +210,36 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                                  const CegarOptions& base, const SupervisorOptions& options,
                                  const mc::ReachGraph* graph) {
-  const int total_attempts = 1 + std::max(0, options.retries);
   std::size_t max_states = base.max_states;
-  double deadline = min_deadline(base.max_seconds, options.deadline_per_property);
-  const std::size_t ceiling = min_ceiling(base.max_visited_bytes, options.mem_ceiling_bytes);
+  double deadline = min_bound(base.max_seconds, options.deadline_per_property);
+  const std::size_t ceiling = min_bound(base.max_visited_bytes, options.mem_ceiling_bytes);
 
   PropertyOutcome out;
-  for (int attempt = 1; attempt <= total_attempts; ++attempt) {
-    out.attempts = attempt;
+  const auto attempt = [&](int k) {
     CegarOptions per_attempt = base;
     per_attempt.max_states = max_states;
     per_attempt.max_seconds = deadline;
     per_attempt.max_visited_bytes = ceiling;
     per_attempt.cancel = options.cancel;
-    try {
-      if (options.fault_hook) options.fault_hook(prop.id, attempt);
-      out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt, graph);
-      out.failure = classify(out.result);
-      out.diagnostics = out.failure == FailureClass::kNone ? std::string() : out.result.note;
-    } catch (const std::exception& e) {
-      out = exception_outcome(prop, attempt, e.what());
-    } catch (...) {
-      out = exception_outcome(prop, attempt, "unknown exception type");
-    }
-    if (out.failure == FailureClass::kNone || out.failure == FailureClass::kCancelled) {
-      return out;
-    }
-    if (attempt == total_attempts) break;
-    // Degrade ladder: each retry after a *resource* trip gets a smaller
-    // search so a property that OOMs or wedges converges to an explicit
-    // kInconclusive instead of failing identically N times. A transient
-    // exception keeps its full budget — the search size wasn't the problem.
-    if (out.failure != FailureClass::kException) {
-      max_states = std::max<std::size_t>(
-          options.degrade_floor_states,
-          static_cast<std::size_t>(static_cast<double>(max_states) * options.degrade_factor));
-      if (deadline > 0) deadline = std::max(0.01, deadline * options.degrade_factor);
-    }
-    if (options.backoff_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options.backoff_seconds * static_cast<double>(1 << (attempt - 1))));
-    }
-  }
-
-  // Retries exhausted: the last attempt's result stands as a structured
-  // kInconclusive with the failure class embedded (never a propagated error).
-  out.result.status = PropertyResult::Status::kInconclusive;
-  if (total_attempts > 1) {
-    out.result.note += " [supervisor: " + std::string(to_string(out.failure)) +
-                       " persisted through " + std::to_string(out.attempts) + " attempts]";
-  }
+    if (options.fault_hook) options.fault_hook(prop.id, k);
+    out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt, graph);
+    out.failure = classify(out.result);
+    out.diagnostics = out.failure == Failure::kNone ? std::string() : out.result.note;
+    return out.failure;
+  };
+  // Each retry after a resource trip gets a smaller search, so a property
+  // that OOMs or wedges converges to an explicit kInconclusive.
+  const auto degrade = [&] {
+    max_states = std::max<std::size_t>(
+        options.degrade_floor_states,
+        static_cast<std::size_t>(static_cast<double>(max_states) * options.degrade_factor));
+    if (deadline > 0) deadline = std::max(0.01, deadline * options.degrade_factor);
+  };
+  const auto contain = [&](const std::string& what) { out = exception_outcome(prop, what); };
+  // A failed last attempt already stands as a structured kInconclusive.
+  out.attempts =
+      supervise::run_ladder(options, "supervisor", &out.result.note, attempt, contain, degrade)
+          .attempts;
   return out;
 }
 
@@ -340,75 +251,24 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
                              const CegarOptions& cegar, const SupervisorOptions& options) {
   SupervisedRun run;
 
-  // --- Journal single-writer lock ------------------------------------------
-  // Two concurrent runs against the same journal would interleave commits and
-  // corrupt the resume state; the second one must fail fast and structured —
-  // before any outcome slot exists (a refused run verifies nothing).
-  JournalLock lock;
-  if (!options.journal_path.empty() && !lock.acquire(options.journal_path)) {
+  // A refused run (journal locked by a live run, or written under other
+  // options) verifies nothing.
+  supervise::JournalSession journal;
+  if (!journal.open(options, "analyze", options.options_hash)) {
     run.aborted = true;
-    run.abort_reason = "concurrent analyze run: " + lock.error();
+    run.abort_reason = journal.refusal();
     return run;
   }
-
   run.outcomes.resize(selected.size());
   std::vector<char> done(selected.size(), 0);
 
-  // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
-  if (!options.journal_path.empty()) {
-    if (options.resume) {
-      JournalLoad load = load_journal(options.journal_path);
-      bool header_ok = false;
-      for (std::size_t k = 0; k < load.payloads.size(); ++k) {
-        if (k == 0) {
-          std::optional<Header> header = decode_header(load.payloads[k]);
-          header_ok = header && (options.run_tag.empty() || header->tag == options.run_tag);
-          if (!header_ok) break;
-          if (!options.options_hash.empty() && header->opts != options.options_hash) {
-            // The journal's verdicts were produced under different analysis
-            // budgets/selection. Adopting them would mix incompatible runs;
-            // discarding them would silently throw away work the user asked
-            // to keep. Refuse, loudly.
-            run.aborted = true;
-            run.abort_reason = "resume refused: journal " + options.journal_path +
-                               " was written with options hash " +
-                               (header->opts.empty() ? std::string("<none>") : header->opts) +
-                               " but this run has " + options.options_hash +
-                               "; re-run with matching options or delete the journal";
-            run.outcomes.clear();  // a refused run verifies nothing
-            return run;
-          }
-          continue;
-        }
-        std::optional<PropertyOutcome> outcome = decode_outcome(load.payloads[k]);
-        if (outcome) adopted[outcome->result.property_id] = std::move(*outcome);
-      }
-      if (!header_ok && !load.payloads.empty()) {
-        // A journal from a different profile (or version) must never leak
-        // verdicts into this run: discard it wholesale.
-        run.journal_error = "journal header mismatch; re-verifying every property";
-        adopted.clear();
-        std::remove(options.journal_path.c_str());
-      }
-    } else {
-      std::remove(options.journal_path.c_str());
-    }
+  for (const std::string& payload : journal.resumed()) {
+    std::optional<PropertyOutcome> outcome = decode_outcome(payload);
+    if (outcome) adopted[outcome->result.property_id] = std::move(*outcome);
   }
-
-  std::unique_ptr<JournalWriter> journal;
+  journal.rewrite(journal.resumed());
   std::mutex journal_mutex;
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<JournalWriter>(options.journal_path);
-    if (journal->records() == 0) {
-      journal->append(encode_header(options.run_tag, options.options_hash));
-      if (!journal->commit()) {
-        run.journal_error = "cannot write journal at " + options.journal_path +
-                            "; continuing without durability";
-        journal.reset();
-      }
-    }
-  }
 
   std::vector<std::size_t> work;
   for (std::size_t i = 0; i < selected.size(); ++i) {
@@ -428,16 +288,10 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   // at most the in-flight property. Cancelled outcomes are interruptions,
   // not verdicts — they are never journaled, so resume re-verifies them.
   auto record = [&](std::size_t i, PropertyOutcome outcome) {
-    if (outcome.failure != FailureClass::kCancelled) {
+    if (outcome.failure != Failure::kCancelled && !options.journal_path.empty()) {
       std::lock_guard<std::mutex> lock(journal_mutex);
-      if (journal) {
-        journal->append(encode_outcome(outcome));
-        if (!journal->commit()) {
-          run.journal_error =
-              "journal write failed mid-run; continuing without durability";
-          journal.reset();
-        }
-      }
+      journal.append(encode_outcome(outcome));
+      journal.commit();
     }
     run.outcomes[i] = std::move(outcome);
     done[i] = 1;
@@ -450,8 +304,8 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   if (!work.empty()) {
     mc::CheckOptions build;
     build.max_states = cegar.max_states;
-    build.max_seconds = min_deadline(cegar.max_seconds, options.deadline_per_property);
-    build.max_visited_bytes = min_ceiling(cegar.max_visited_bytes, options.mem_ceiling_bytes);
+    build.max_seconds = min_bound(cegar.max_seconds, options.deadline_per_property);
+    build.max_visited_bytes = min_bound(cegar.max_visited_bytes, options.mem_ceiling_bytes);
     build.cancel = options.cancel;
     mc::CheckStats stats;
     graph = mc::ReachGraph::build(tm.model, build, &stats);
@@ -463,69 +317,63 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   }
   const mc::ReachGraph* shared = graph ? &*graph : nullptr;
 
-  const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
-  if (jobs <= 1 || work.size() <= 1) {
-    cpv::LteCryptoModel crypto(crypto_options);
-    for (std::size_t i : work) {
-      if (options.cancel && options.cancel->cancelled()) break;
-      record(i, run_one_property(tm, ue_fsm, *selected[i], crypto, cegar, options, shared));
-    }
-  } else {
-    ThreadPool pool(std::min(jobs, work.size()));
-    // Verifiers are reused across properties through a free-list (the
-    // cpv::Knowledge saturation cache stays warm, as in the per-worker
-    // claim-loop design this replaces) but never shared concurrently.
-    std::mutex crypto_mutex;
-    std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
-    for (std::size_t i : work) {
-      pool.submit([&, i] {
-        // Catch-all even outside run_one_property: a throwing task would
-        // reach std::terminate through the pool, taking down the whole run.
-        try {
-          if (options.cancel && options.cancel->cancelled()) {
-            // Shed everything not yet started; this property (already
-            // started) is reported as cancelled below.
-            pool.cancel_pending();
-            return;
-          }
-          std::unique_ptr<cpv::LteCryptoModel> crypto;
-          {
-            std::lock_guard<std::mutex> lock(crypto_mutex);
-            if (!idle_verifiers.empty()) {
-              crypto = std::move(idle_verifiers.back());
-              idle_verifiers.pop_back();
-            }
-          }
-          if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
-          PropertyOutcome outcome =
-              run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared);
-          {
-            std::lock_guard<std::mutex> lock(crypto_mutex);
-            idle_verifiers.push_back(std::move(crypto));
-          }
-          record(i, std::move(outcome));
-        } catch (const std::exception& e) {
-          record(i, exception_outcome(*selected[i], 1, e.what()));
-        } catch (...) {
-          record(i, exception_outcome(*selected[i], 1, "unknown exception type"));
+  // One worker per job; at jobs=1 the single worker runs the properties in
+  // selection order.
+  ThreadPool pool(std::min(std::max<std::size_t>(1, options.jobs), work.size()));
+  // Verifiers are reused across properties through a free-list (the
+  // cpv::Knowledge saturation cache stays warm) but never shared
+  // concurrently.
+  std::mutex crypto_mutex;
+  std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
+  for (std::size_t i : work) {
+    pool.submit([&, i] {
+      // Catch-all even outside run_one_property: a throwing task would
+      // reach std::terminate through the pool, taking down the whole run.
+      try {
+        if (options.cancel && options.cancel->cancelled()) {
+          // Shed everything not yet started; this property is reported as
+          // cancelled below.
+          pool.cancel_pending();
+          return;
         }
-      });
-    }
-    pool.wait();
+        std::unique_ptr<cpv::LteCryptoModel> crypto;
+        {
+          std::lock_guard<std::mutex> lock(crypto_mutex);
+          if (!idle_verifiers.empty()) {
+            crypto = std::move(idle_verifiers.back());
+            idle_verifiers.pop_back();
+          }
+        }
+        if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
+        PropertyOutcome outcome =
+            run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared);
+        {
+          std::lock_guard<std::mutex> lock(crypto_mutex);
+          idle_verifiers.push_back(std::move(crypto));
+        }
+        record(i, std::move(outcome));
+      } catch (const std::exception& e) {
+        record(i, exception_outcome(*selected[i], e.what()));
+      } catch (...) {
+        record(i, exception_outcome(*selected[i], "unknown exception type"));
+      }
+    });
   }
+  pool.wait();
 
   // Properties never started (cancelled run / shed tasks) still get a
   // structured outcome — the report has one row per selected property.
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (!done[i]) run.outcomes[i] = cancelled_outcome(*selected[i]);
+    if (done[i]) continue;
+    run.outcomes[i] = failed_outcome(*selected[i], Failure::kCancelled, "run cancelled",
+                                     "cancelled before verification started");
+    run.outcomes[i].attempts = 0;
   }
   for (const PropertyOutcome& outcome : run.outcomes) {
-    if (outcome.failure == FailureClass::kCancelled) ++run.cancelled;
+    if (outcome.failure == Failure::kCancelled) ++run.cancelled;
   }
-  if (journal) {
-    // Exclude the header line from the record count.
-    run.journal_records = journal->records() > 0 ? journal->records() - 1 : 0;
-  }
+  run.journal_records = journal.records();
+  run.journal_error = journal.error().empty() ? journal.note() : journal.error();
   return run;
 }
 

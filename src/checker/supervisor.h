@@ -22,52 +22,30 @@
 
 #include "checker/cegar.h"
 #include "checker/property.h"
-#include "common/thread_pool.h"
+#include "common/supervise.h"
 #include "cpv/lte_crypto.h"
 #include "fsm/fsm.h"
 #include "threat/compose.h"
 
 namespace procheck::checker {
 
-/// How a property's verification failed to reach a clean verdict. The
-/// classes mirror the containment paths: kException (a worker threw),
-/// kDeadline (watchdog wall-clock), kMemCeiling (approximate visited-set
-/// ceiling), kBudget (state bound / CEGAR iteration cap), kCancelled (the
-/// run's CancelToken fired — the property was interrupted, not concluded,
-/// so it is never journaled and a resumed run re-verifies it).
-enum class FailureClass : std::uint8_t {
-  kNone,
-  kException,
-  kDeadline,
-  kMemCeiling,
-  kBudget,
-  kCancelled,
-};
-
-std::string_view to_string(FailureClass f);
-
 /// The supervisor's structured per-property outcome: the verdict plus the
 /// containment metadata (what failed, how many attempts were consumed).
 struct PropertyOutcome {
   PropertyResult result;
   int attempts = 1;
-  FailureClass failure = FailureClass::kNone;
+  supervise::Failure failure = supervise::Failure::kNone;
   /// Failure detail of the last attempt (exception message, tripped budget).
   std::string diagnostics;
   /// True when the outcome was adopted from the run journal (not re-verified).
   bool resumed = false;
 };
 
-struct SupervisorOptions {
-  /// Extra attempts after the first for failed/inconclusive properties.
-  int retries = 0;
-  /// Base of the exponential retry backoff (seconds): attempt k sleeps
-  /// backoff * 2^(k-1) before re-running. 0 disables the sleep.
-  double backoff_seconds = 0.05;
-  /// Degrade ladder: max_states and the per-attempt deadline shrink by this
-  /// factor on every retry, so a property that OOMs or wedges converges to
-  /// an explicit kInconclusive instead of failing the same way N times.
-  double degrade_factor = 0.5;
+/// The shared settings (retries, backoff, journal, resume, tag, cancel) live
+/// in supervise::Options; a retry after a resource failure shrinks
+/// max_states and the per-attempt deadline by degrade_factor.
+struct SupervisorOptions : supervise::Options {
+  /// max_states never degrades below this.
   std::size_t degrade_floor_states = 4096;
 
   /// Per-attempt watchdog wall-clock deadline (seconds); 0 = none.
@@ -76,38 +54,24 @@ struct SupervisorOptions {
   /// visited-state structures, polled cooperatively); 0 = none.
   std::size_t mem_ceiling_bytes = 0;
 
-  /// Path of the crash-safe run journal; "" disables journaling.
-  std::string journal_path;
-  /// Adopt completed outcomes from journal_path instead of re-verifying.
-  /// Without resume, a pre-existing journal at the path is clobbered.
-  bool resume = false;
-  /// Journal header tag (the profile name): a resumed journal with a
-  /// different tag is discarded, never mixed into this run's results.
-  std::string run_tag;
   /// Fingerprint of the analysis options that shape verdicts (budgets,
   /// property selection — anything jobs-independent; see
   /// checker::analysis_options_hash). Recorded in the journal header; a
   /// --resume against a journal written under a *different* fingerprint is
-  /// refused outright (aborted run) — adopting those verdicts would silently
-  /// mix incompatible budgets into one report. "" disables the check
-  /// (legacy callers).
+  /// refused. "" disables the check.
   std::string options_hash;
 
   std::size_t jobs = 1;
-  /// Cooperative run-level cancellation: properties not yet started are shed
-  /// (ThreadPool::cancel_pending) and reported as kCancelled outcomes.
-  const CancelToken* cancel = nullptr;
   /// Test hook: invoked at the start of every attempt; a throw simulates a
   /// worker crash inside the MC/CEGAR loop.
   std::function<void(const std::string& property_id, int attempt)> fault_hook;
 };
 
-struct SupervisedRun {
+struct SupervisedRun : supervise::Status {
   /// One outcome per selected property, in selection (catalog) order.
   std::vector<PropertyOutcome> outcomes;
   std::size_t resumed = 0;    // outcomes adopted from the journal
   std::size_t cancelled = 0;  // properties interrupted by the CancelToken
-  std::size_t journal_records = 0;
   /// The shared reachable graph (DESIGN.md §10): states and edges of the
   /// graph every property was checked against, 0 when none was built (no
   /// property left to verify, or the build tripped a budget and every
@@ -116,14 +80,6 @@ struct SupervisedRun {
   std::size_t graph_states = 0;
   std::size_t graph_edges = 0;
   double graph_build_seconds = 0;
-  /// Non-empty when journaling failed mid-run: the analysis continued
-  /// (containment), but the journal is no longer extending.
-  std::string journal_error;
-  /// True when the run refused to start (journal locked by a live process,
-  /// or --resume against an options-hash-incompatible journal). No property
-  /// was verified; `abort_reason` carries the structured diagnostic.
-  bool aborted = false;
-  std::string abort_reason;
 };
 
 /// Runs `selected` under supervision. Exceptions never escape a worker:
@@ -139,6 +95,10 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,
                              const CegarOptions& cegar, const SupervisorOptions& options);
+
+/// The verdict's journal and triage token ("verified", "attack",
+/// "not_applicable", "inconclusive").
+std::string_view status_token(PropertyResult::Status s);
 
 /// Journal record codec. Encodes the deterministic slice of an outcome
 /// (verdict, note, refinements, equivalence, counterexample, containment

@@ -577,9 +577,9 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
       std::fprintf(stderr, "journal warning: %s\n", run.journal_error.c_str());
     }
   }
-  if (run.attempts > 1 || run.failure != learner::LearnFailure::kNone) {
+  if (run.attempts > 1 || run.failure != supervise::Failure::kNone) {
     std::fprintf(stderr, "supervisor: %d attempt(s), last failure: %s%s%s\n", run.attempts,
-                 std::string(learner::to_string(run.failure)).c_str(),
+                 std::string(supervise::to_string(run.failure)).c_str(),
                  run.diagnostics.empty() ? "" : " — ", run.diagnostics.c_str());
   }
   if (result.arbitrations > 0 || !result.quarantined.empty()) {

@@ -27,37 +27,22 @@ std::array<std::uint32_t, 256> build_crc_table() {
   return table;
 }
 
-/// Renders one journal line: 8 lowercase hex CRC digits, a space, the
-/// payload, a newline.
-std::string render_line(std::string_view payload) {
+/// A line's tag: 8 lowercase hex CRC digits and a space.
+std::string crc_tag(std::string_view payload) {
   char tag[10];
   std::snprintf(tag, sizeof(tag), "%08x ", crc32(payload));
-  std::string line(tag);
-  line += payload;
-  line += '\n';
-  return line;
+  return tag;
 }
 
-/// Validates one line (without trailing '\n'); returns the payload or
-/// nullopt when the CRC tag is absent, malformed, or wrong.
+std::string render_line(std::string_view payload) {
+  return crc_tag(payload) + std::string(payload) + '\n';
+}
+
+/// Validates one line (without trailing '\n'); false when the CRC tag is
+/// absent, malformed, or wrong.
 bool check_line(std::string_view line, std::string* payload) {
-  if (line.size() < 9 || line[8] != ' ') return false;
-  std::uint32_t tagged = 0;
-  for (int i = 0; i < 8; ++i) {
-    char c = line[i];
-    std::uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    tagged = tagged << 4 | digit;
-  }
-  std::string_view body = line.substr(9);
-  if (crc32(body) != tagged) return false;
-  payload->assign(body);
+  if (line.size() < 9 || line.substr(0, 9) != crc_tag(line.substr(9))) return false;
+  payload->assign(line.substr(9));
   return true;
 }
 
@@ -90,7 +75,6 @@ JournalLoad load_journal(const std::string& path) {
     bool terminated = nl != std::string::npos;
     std::string_view line(text.data() + pos, (terminated ? nl : text.size()) - pos);
     pos = terminated ? nl + 1 : text.size();
-    ++load.lines;
     std::string payload;
     if (tail || !terminated || !check_line(line, &payload)) {
       tail = true;
@@ -100,24 +84,6 @@ JournalLoad load_journal(const std::string& path) {
     load.payloads.push_back(std::move(payload));
   }
   return load;
-}
-
-JournalLock::JournalLock(JournalLock&& other) noexcept
-    : lock_path_(std::move(other.lock_path_)),
-      error_(std::move(other.error_)),
-      held_(other.held_) {
-  other.held_ = false;
-}
-
-JournalLock& JournalLock::operator=(JournalLock&& other) noexcept {
-  if (this != &other) {
-    release();
-    lock_path_ = std::move(other.lock_path_);
-    error_ = std::move(other.error_);
-    held_ = other.held_;
-    other.held_ = false;
-  }
-  return *this;
 }
 
 namespace {
@@ -177,42 +143,58 @@ void JournalLock::release() {
   }
 }
 
-JournalWriter::JournalWriter(std::string path) : path_(std::move(path)) {
-  JournalLoad load = load_journal(path_);
-  for (const std::string& payload : load.payloads) {
-    committed_ += render_line(payload);
+JournalWriter::~JournalWriter() { close(); }
+
+void JournalWriter::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  pending_.clear();
+  pending_records_ = 0;
+}
+
+bool JournalWriter::replace(const std::string& path, const std::vector<std::string>& payloads) {
+  close();
+  std::string text;
+  for (const std::string& payload : payloads) text += render_line(payload);
+  const std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  bool ok = ::write(fd, text.data(), text.size()) == static_cast<ssize_t>(text.size());
+  ok = ok && ::fsync(fd) == 0;
+  // The descriptor follows the inode through the rename, so it appends to
+  // the journal at `path` from here on.
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return false;
   }
-  records_ = load.payloads.size();
+  fd_ = fd;
+  records_ = payloads.size();
+  return true;
 }
 
 void JournalWriter::append(std::string_view payload) {
-  pending_.emplace_back(payload);
+  pending_ += render_line(payload);
+  ++pending_records_;
 }
 
 bool JournalWriter::commit() {
-  if (pending_.empty()) return true;
-  std::string next = committed_;
-  for (const std::string& payload : pending_) {
-    next += render_line(payload);
+  if (fd_ < 0) {
+    close();
+    return false;
   }
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) return false;
-  bool ok = std::fwrite(next.data(), 1, next.size(), f) == next.size();
-  ok = std::fflush(f) == 0 && ok;
-  ok = ::fsync(fileno(f)) == 0 && ok;
-  ok = std::fclose(f) == 0 && ok;
+  if (pending_records_ == 0) return true;
+  const bool ok = ::write(fd_, pending_.data(), pending_.size()) ==
+                      static_cast<ssize_t>(pending_.size()) &&
+                  ::fdatasync(fd_) == 0;
   if (!ok) {
-    std::remove(tmp.c_str());
+    close();
     return false;
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  committed_ = std::move(next);
-  records_ += pending_.size();
+  records_ += pending_records_;
   pending_.clear();
+  pending_records_ = 0;
   return true;
 }
 

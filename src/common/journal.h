@@ -1,18 +1,20 @@
 // Crash-safe JSONL run journal (DESIGN.md §11).
 //
-// The analysis supervisor appends one record per completed property so an
-// interrupted `analyze` run can resume without re-verifying finished work.
-// Durability contract:
-//   - every commit writes the full journal to `<path>.tmp`, fsyncs it, and
-//     atomically renames it over `<path>` — a crash leaves either the old or
-//     the new journal, never a mix;
-//   - every line is CRC32-tagged (`%08x <payload>`), so a torn tail (the
-//     file truncated at an arbitrary byte by a crash or an interrupted
-//     copy) is detected on reload: the valid prefix is kept, everything
-//     from the first damaged line on is dropped.
+// The supervisors (common/supervise.h) record one line per finished unit of
+// work so an interrupted run can resume without redoing it. Durability
+// contract:
+//   - a journal is started (or replaced) atomically: the full text goes to
+//     `<path>.tmp`, is fsynced, and is renamed over `<path>` — a crash leaves
+//     either the old or the new journal, never a mix and never none;
+//   - after that, every commit is one write() of the pending lines to the
+//     O_APPEND descriptor followed by fdatasync;
+//   - every line is CRC32-tagged (`%08x <payload>`), so a torn tail (a crash
+//     mid-append, or a file truncated at an arbitrary byte) is detected on
+//     reload: the valid prefix is kept, everything from the first damaged
+//     line on is dropped. A failed commit poisons its writer, so no later
+//     record can land behind a torn line.
 //
-// The journal is a line transport: payloads are opaque single-line strings
-// (the supervisor stores JSON objects; see checker/supervisor.h).
+// The journal is a line transport: payloads are opaque single-line strings.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,6 @@ std::uint32_t crc32(std::string_view data);
 struct JournalLoad {
   /// Valid record payloads, in file order (CRC prefix stripped).
   std::vector<std::string> payloads;
-  std::size_t lines = 0;    // physical lines seen
   std::size_t dropped = 0;  // lines discarded (torn tail / CRC mismatch)
   bool existed = false;     // the file was present and readable
 };
@@ -39,9 +40,9 @@ struct JournalLoad {
 JournalLoad load_journal(const std::string& path);
 
 /// Advisory single-writer lock for a journal path. Two concurrent
-/// `analyze --journal` runs against the same file would interleave commits
-/// and corrupt the resume state; the lock makes the second run fail fast
-/// with a structured diagnostic instead.
+/// supervised runs against the same file would interleave commits and
+/// corrupt the resume state; the lock makes the second run fail fast with a
+/// structured diagnostic instead.
 ///
 /// Implementation: `<path>.lock` created with O_CREAT|O_EXCL holding the
 /// owner's pid. A crash leaves the lock file behind, so acquisition steals
@@ -51,8 +52,6 @@ class JournalLock {
  public:
   JournalLock() = default;
   ~JournalLock() { release(); }
-  JournalLock(JournalLock&& other) noexcept;
-  JournalLock& operator=(JournalLock&& other) noexcept;
   JournalLock(const JournalLock&) = delete;
   JournalLock& operator=(const JournalLock&) = delete;
 
@@ -64,8 +63,6 @@ class JournalLock {
 
   bool held() const { return held_; }
   const std::string& error() const { return error_; }
-  /// The lock file path (`<journal>.lock`).
-  const std::string& lock_path() const { return lock_path_; }
 
  private:
   std::string lock_path_;
@@ -75,30 +72,35 @@ class JournalLock {
 
 class JournalWriter {
  public:
-  /// Binds the writer to `path`. If the file exists, its valid prefix is
-  /// adopted (resume case) so subsequent commits extend rather than clobber
-  /// the surviving records. Nothing is written until commit().
-  explicit JournalWriter(std::string path);
+  JournalWriter() = default;
+  ~JournalWriter();
+  JournalWriter(const JournalWriter&) = delete;
+  JournalWriter& operator=(const JournalWriter&) = delete;
+
+  /// Atomically replaces the journal at `path` with exactly `payloads`
+  /// (`<path>.tmp`, fsync, rename) and keeps it open for appends. Drops
+  /// anything pending. On failure the file at `path` is untouched and the
+  /// writer stays closed.
+  bool replace(const std::string& path, const std::vector<std::string>& payloads);
 
   /// Queues one record payload (must not contain '\n'). Not yet durable.
   void append(std::string_view payload);
 
-  /// Flushes every queued record: writes the complete journal (adopted
-  /// prefix + queued records) to `<path>.tmp`, fsyncs, renames over
-  /// `<path>`. Returns false on any I/O failure — the caller decides
-  /// whether to continue without durability; queued records are retained
-  /// for a later retry either way.
+  /// Appends every queued record with a single write() and fdatasync. False
+  /// when the writer is closed or the write fails; a failure closes the
+  /// writer (the file may end in a torn line) and drops the queue.
   bool commit();
 
-  const std::string& path() const { return path_; }
-  /// Records adopted from disk plus records committed by this writer.
+  /// Records durable in the journal.
   std::size_t records() const { return records_; }
-  std::size_t pending() const { return pending_.size(); }
+  std::size_t pending() const { return pending_records_; }
 
  private:
-  std::string path_;
-  std::string committed_;  // full text of the durable journal
-  std::vector<std::string> pending_;
+  void close();
+
+  int fd_ = -1;
+  std::string pending_;  // rendered lines
+  std::size_t pending_records_ = 0;
   std::size_t records_ = 0;
 };
 

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <map>
-#include <memory>
-#include <thread>
 #include <utility>
 
-#include "common/bytes.h"
-#include "common/journal.h"
-#include "common/rng.h"
 #include "learner/output_trie.h"
 
 namespace procheck::learner {
+
+using supervise::Failure;
 
 namespace {
 
@@ -60,6 +56,13 @@ bool is_alphabet_symbol(const std::string& s) {
 
 Word unavailable_word(std::size_t n) { return Word(n, kSulUnavailable); }
 
+std::vector<std::string> encode_all(const std::vector<LearnObservation>& records) {
+  std::vector<std::string> lines;
+  lines.reserve(records.size());
+  for (const LearnObservation& r : records) lines.push_back(encode_observation(r.word, r.outputs));
+  return lines;
+}
+
 std::string word_text(const Word& w) {
   std::string out;
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -84,18 +87,30 @@ std::string word_text(const Word& w) {
 /// a structured inconclusive without further SUL contact.
 class JournaledSul final : public Sul {
  public:
+  /// Adopts the journal's resumed records up to the first one that is
+  /// malformed or contradicts an earlier record (resume never guesses at
+  /// damage; `note` says where adoption stopped), then restarts the journal
+  /// from exactly what was adopted, so it and the replay cache agree byte
+  /// for byte on the durable state.
   JournaledSul(Sul& inner, const LearnSupervisorOptions& options,
-               std::unique_ptr<JournalWriter> writer, std::string header_line,
-               std::vector<LearnObservation> adopted)
-      : inner_(inner),
-        options_(options),
-        writer_(std::move(writer)),
-        header_line_(std::move(header_line)) {
-    for (LearnObservation& obs : adopted) {
-      trie_.insert(obs.word, obs.outputs);
-      replay_[obs.word] = obs.outputs;
-      records_.push_back(std::move(obs));
+               supervise::JournalSession& journal, std::string* note)
+      : inner_(inner), options_(options), journal_(journal) {
+    const std::vector<std::string>& payloads = journal.resumed();
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      std::optional<LearnObservation> obs = decode_observation(payloads[i]);
+      if (!obs || !agrees(committed_prefix(obs->word), obs->outputs)) {
+        // Record numbers count the header as record 0.
+        *note = "journal record " + std::to_string(i + 1) +
+                (obs ? " contradicts an earlier record" : " is malformed") +
+                "; adopted the valid prefix (" + std::to_string(records_.size()) +
+                " observations)";
+        break;
+      }
+      trie_.insert(obs->word, obs->outputs);
+      replay_[obs->word] = obs->outputs;
+      records_.push_back(std::move(*obs));
     }
+    journal_.rewrite(encode_all(records_));
   }
 
   // --- supervisor-facing --------------------------------------------------
@@ -108,30 +123,24 @@ class JournaledSul final : public Sul {
     fresh_bytes_ = 0;
     poisoned_ = false;
     restart_ = false;
-    failure_ = LearnFailure::kNone;
+    failure_ = Failure::kNone;
     diag_.clear();
     pending_.clear();
     token_.reset();
     attempt_start_ = Clock::now();
   }
 
-  void finish_attempt() { flush_journal(); }
+  void finish_attempt() { journal_.commit(); }
 
   bool restart_requested() const { return restart_; }
-  LearnFailure failure() const { return failure_; }
+  Failure failure() const { return failure_; }
   const std::string& diagnostics() const { return diag_; }
   long arbitrations() const { return arbitrations_; }
   long arbitration_requeries() const { return arbitration_requeries_; }
   long arbitration_overrides() const { return arbitration_overrides_; }
   const std::vector<std::string>& quarantined() const { return quarantined_; }
   std::size_t replayed_total() const { return replayed_total_; }
-  const std::string& journal_error() const { return journal_error_; }
-
-  std::size_t journal_records() const {
-    if (!writer_) return 0;
-    const std::size_t r = writer_->records();
-    return r > 0 ? r - 1 : 0;  // exclude the header line
-  }
+  std::size_t adopted() const { return records_.size(); }
 
   // --- Sul ----------------------------------------------------------------
   void reset() override { pending_.clear(); }
@@ -150,34 +159,16 @@ class JournaledSul final : public Sul {
     return inner_.unavailable_reason();
   }
 
-  Word query_word(const Word& word) override {
-    poll_external_cancel();
-    if (poisoned_) return unavailable_word(word.size());
-    if (std::optional<Word> hit = replay_answer(word)) {
-      count_served(word);
-      ++replayed_total_;
-      return *std::move(hit);
-    }
-    if (!admit_fresh(1, static_cast<long>(word.size()))) {
-      return unavailable_word(word.size());
-    }
-    fire_hook();
-    const Clock::time_point start = Clock::now();
-    Word outs = inner_.query_word(word);
-    ++fresh_queries_;
-    fresh_bytes_ += static_cast<long>(word.size());
-    fire_hook();
-    count_served(word);
-    if (!answer_ok(outs, word.size())) {
-      poison(LearnFailure::kUnavailable, unavailable_diag(word));
-      return unavailable_word(word.size());
-    }
-    Word committed = commit(word, outs);
-    check_query_deadline(start, 1);
-    return committed;
-  }
+  Word query_word(const Word& word) override { return answer({word}, true).front(); }
 
   std::vector<Word> query_batch(const std::vector<Word>& words) override {
+    return answer(words, false);
+  }
+
+ private:
+  /// Serves `words` from the journal where it can and asks the inner SUL
+  /// for the rest, as one word (`single`) or one batch.
+  std::vector<Word> answer(const std::vector<Word>& words, bool single) {
     poll_external_cancel();
     std::vector<Word> answers(words.size());
     std::vector<std::size_t> fresh_idx;
@@ -217,7 +208,9 @@ class JournaledSul final : public Sul {
     for (std::size_t i : fresh_idx) fresh_words.push_back(words[i]);
     fire_hook();
     const Clock::time_point start = Clock::now();
-    const std::vector<Word> fresh_answers = inner_.query_batch(fresh_words);
+    const std::vector<Word> fresh_answers =
+        single ? std::vector<Word>{inner_.query_word(fresh_words.front())}
+               : inner_.query_batch(fresh_words);
     fresh_queries_ += static_cast<long>(fresh_idx.size());
     fresh_bytes_ += fresh_syms;
     fire_hook();
@@ -234,7 +227,7 @@ class JournaledSul final : public Sul {
       }
       count_served(word);
       if (j >= fresh_answers.size() || !answer_ok(fresh_answers[j], word.size())) {
-        poison(LearnFailure::kUnavailable, unavailable_diag(word));
+        poison(Failure::kUnavailable, unavailable_diag(word));
         halted = true;
         answers[i] = unavailable_word(word.size());
         continue;
@@ -247,7 +240,6 @@ class JournaledSul final : public Sul {
     return answers;
   }
 
- private:
   void count_served(const Word& word) {
     ++resets_;
     steps_ += static_cast<long>(word.size());
@@ -281,7 +273,7 @@ class JournaledSul final : public Sul {
 
   void poll_external_cancel() {
     if (!poisoned_ && options_.cancel != nullptr && options_.cancel->cancelled()) {
-      poison(LearnFailure::kCancelled, "learning cancelled by caller");
+      poison(Failure::kCancelled, "learning cancelled by caller");
     }
   }
 
@@ -289,7 +281,7 @@ class JournaledSul final : public Sul {
     if (options_.fault_hook) options_.fault_hook(probe_counter_++);
   }
 
-  void poison(LearnFailure f, std::string diag) {
+  void poison(Failure f, std::string diag) {
     if (poisoned_) return;
     poisoned_ = true;
     failure_ = f;
@@ -303,20 +295,20 @@ class JournaledSul final : public Sul {
     if (poisoned_) return false;
     if (options_.deadline_seconds > 0 &&
         seconds_since(attempt_start_) > options_.deadline_seconds) {
-      poison(LearnFailure::kDeadline,
+      poison(Failure::kDeadline,
              "attempt deadline (" + fmt_seconds(options_.deadline_seconds) +
                  "s) exceeded");
       return false;
     }
     if (options_.query_budget > 0 &&
         fresh_queries_ + queries > options_.query_budget) {
-      poison(LearnFailure::kQueryBudget,
+      poison(Failure::kQueryBudget,
              "fresh membership-query budget (" +
                  std::to_string(options_.query_budget) + ") exhausted");
       return false;
     }
     if (options_.byte_budget > 0 && fresh_bytes_ + symbols > options_.byte_budget) {
-      poison(LearnFailure::kByteBudget,
+      poison(Failure::kByteBudget,
              "fresh input-symbol budget (" + std::to_string(options_.byte_budget) +
                  ") exhausted");
       return false;
@@ -332,7 +324,7 @@ class JournaledSul final : public Sul {
         options_.query_deadline_seconds * static_cast<double>(std::max<long>(1, queries));
     const double took = seconds_since(start);
     if (took > limit) {
-      poison(LearnFailure::kDeadline,
+      poison(Failure::kDeadline,
              "membership query took " + fmt_seconds(took) + "s (deadline " +
                  fmt_seconds(options_.query_deadline_seconds) + "s/query)");
     }
@@ -342,19 +334,8 @@ class JournaledSul final : public Sul {
   /// Returns the canonical (committed) outputs the learner should see —
   /// identical to `outs` except when arbitration resolved a conflict.
   Word commit(const Word& word, const Word& outs) {
-    const std::size_t known = trie_.known_prefix_length(word);
-    Word committed_prefix;
-    bool conflict = false;
-    if (known > 0) {
-      committed_prefix = *trie_.lookup(Word(word.begin(), word.begin() + static_cast<std::ptrdiff_t>(known)));
-      for (std::size_t i = 0; i < known; ++i) {
-        if (outs[i] != committed_prefix[i]) {
-          conflict = true;
-          break;
-        }
-      }
-    }
-    if (!conflict) {
+    const Word committed = committed_prefix(word);
+    if (agrees(committed, outs)) {
       commit_record(word, outs);
       return outs;
     }
@@ -363,11 +344,22 @@ class JournaledSul final : public Sul {
       // trie policy), but the *journal* stays internally consistent — the
       // fresh answer is coerced onto the committed edges before recording.
       Word canonical = outs;
-      for (std::size_t i = 0; i < known; ++i) canonical[i] = committed_prefix[i];
+      std::copy(committed.begin(), committed.end(), canonical.begin());
       commit_record(word, canonical);
       return canonical;
     }
-    return arbitrate(word, committed_prefix, known);
+    return arbitrate(word, committed);
+  }
+
+  /// The committed outputs along the longest prefix of `word` in the trie.
+  Word committed_prefix(const Word& word) {
+    const auto known = static_cast<std::ptrdiff_t>(trie_.known_prefix_length(word));
+    if (known == 0) return {};
+    return *trie_.lookup(Word(word.begin(), word.begin() + known));
+  }
+
+  static bool agrees(const Word& committed, const Word& outs) {
+    return std::equal(committed.begin(), committed.end(), outs.begin());
   }
 
   /// k-of-n arbitration of a contradicted word. All n samples are fresh
@@ -380,7 +372,8 @@ class JournaledSul final : public Sul {
   ///   (the learner's table was built on the losing answer);
   ///   no position reaches k votes — quarantine the cell and poison the run
   ///   as contested: a structured inconclusive, never a wrong machine.
-  Word arbitrate(const Word& word, const Word& committed_prefix, std::size_t known) {
+  Word arbitrate(const Word& word, const Word& committed_prefix) {
+    const std::size_t known = committed_prefix.size();
     ++arbitrations_;
     const int n = options_.arbitration_n;
     const int k = options_.arbitration_k;
@@ -398,7 +391,7 @@ class JournaledSul final : public Sul {
       count_served(word);
       ++arbitration_requeries_;
       if (!answer_ok(sample, word.size())) {
-        poison(LearnFailure::kUnavailable,
+        poison(Failure::kUnavailable,
                "sul unavailable while arbitrating " + word_text(word));
         return unavailable_word(word.size());
       }
@@ -425,7 +418,7 @@ class JournaledSul final : public Sul {
         }
         detail += ")";
         quarantined_.push_back(detail);
-        poison(LearnFailure::kContested, detail);
+        poison(Failure::kContested, detail);
         return unavailable_word(word.size());
       }
       majority[pos] = winner;
@@ -445,7 +438,7 @@ class JournaledSul final : public Sul {
                            ") exceeded at word " + word_text(word) +
                            "; the SUL is too nondeterministic to learn";
       quarantined_.push_back(detail);
-      poison(LearnFailure::kContested, detail);
+      poison(Failure::kContested, detail);
       return unavailable_word(word.size());
     }
     arbitration_overrides_ += static_cast<long>(overturned.size());
@@ -464,7 +457,8 @@ class JournaledSul final : public Sul {
     }
     records_.push_back({word, majority});
     rebuild_cache();
-    rewrite_journal();
+    // Already-durable lines changed: replace the journal atomically.
+    journal_.rewrite(encode_all(records_));
     // The running attempt's observation table was built on the losing edge:
     // discard it and re-learn from the corrected journal. This is progress,
     // not failure — the supervisor restarts without consuming an attempt.
@@ -479,17 +473,9 @@ class JournaledSul final : public Sul {
     trie_.insert(word, outs);
     replay_[word] = outs;
     records_.push_back({word, outs});
-    if (!writer_) return;
-    writer_->append(encode_observation(word, outs));
-    if (++appended_since_flush_ >= std::max(1, options_.journal_commit_every)) {
-      flush_journal();
-    }
-  }
-
-  void flush_journal() {
-    if (!writer_ || writer_->pending() == 0) return;
-    appended_since_flush_ = 0;
-    if (!writer_->commit()) note_journal_error();
+    journal_.append(encode_observation(word, outs));
+    const auto every = static_cast<std::size_t>(std::max(1, options_.journal_commit_every));
+    if (journal_.pending() >= every) journal_.commit();
   }
 
   void rebuild_cache() {
@@ -501,35 +487,9 @@ class JournaledSul final : public Sul {
     }
   }
 
-  /// An override changed already-durable lines, so the journal is rebuilt
-  /// from scratch: header + the corrected record set, atomically.
-  void rewrite_journal() {
-    if (!writer_) return;
-    const std::string path = writer_->path();
-    writer_.reset();
-    std::remove(path.c_str());
-    writer_ = std::make_unique<JournalWriter>(path);
-    writer_->append(header_line_);
-    for (const LearnObservation& r : records_) {
-      writer_->append(encode_observation(r.word, r.outputs));
-    }
-    appended_since_flush_ = 0;
-    if (!writer_->commit()) note_journal_error();
-  }
-
-  void note_journal_error() {
-    if (journal_error_.empty() && writer_) {
-      journal_error_ = "journal commit failed at " + writer_->path() +
-                       "; learning continued without durability";
-    }
-  }
-
   Sul& inner_;
   const LearnSupervisorOptions& options_;
-  std::unique_ptr<JournalWriter> writer_;
-  std::string header_line_;
-  std::string journal_error_;
-  int appended_since_flush_ = 0;
+  supervise::JournalSession& journal_;
 
   std::vector<LearnObservation> records_;  // journal order
   std::map<Word, Word> replay_;            // exact word -> outputs
@@ -554,25 +514,11 @@ class JournaledSul final : public Sul {
 
   bool poisoned_ = false;
   bool restart_ = false;
-  LearnFailure failure_ = LearnFailure::kNone;
+  Failure failure_ = Failure::kNone;
   std::string diag_;
 };
 
 }  // namespace
-
-std::string_view to_string(LearnFailure f) {
-  switch (f) {
-    case LearnFailure::kNone: return "none";
-    case LearnFailure::kException: return "exception";
-    case LearnFailure::kDeadline: return "deadline";
-    case LearnFailure::kQueryBudget: return "query_budget";
-    case LearnFailure::kByteBudget: return "byte_budget";
-    case LearnFailure::kCancelled: return "cancelled";
-    case LearnFailure::kContested: return "contested";
-    case LearnFailure::kUnavailable: return "sul_unavailable";
-  }
-  return "unknown";
-}
 
 std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
                                int arbitration_n) {
@@ -588,30 +534,7 @@ std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
   canon += ";rounds=" + std::to_string(learn.max_rounds);
   canon += ";arbitrate=" + std::to_string(arbitration_k) + "/" +
            std::to_string(arbitration_n) + ";";
-  const Bytes bytes(canon.begin(), canon.end());
-  const std::uint64_t h = prf64(0x13AD0CA7, bytes);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
-  return hex;
-}
-
-std::string encode_learn_header(const std::string& tag, const std::string& opts_hash) {
-  return "learn-header v=1 tag=" + tag + " opts=" + opts_hash;
-}
-
-std::optional<LearnJournalHeader> decode_learn_header(std::string_view payload) {
-  const std::vector<std::string> t = split_tokens(payload);
-  if (t.size() != 4 || t[0] != "learn-header" || t[1] != "v=1") return std::nullopt;
-  if (t[2].rfind("tag=", 0) != 0 || t[3].rfind("opts=", 0) != 0) return std::nullopt;
-  LearnJournalHeader h;
-  h.tag = t[2].substr(4);
-  h.opts = t[3].substr(5);
-  if (h.tag.empty() || h.opts.size() != 16) return std::nullopt;
-  for (char c : h.opts) {
-    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!hex) return std::nullopt;
-  }
-  return h;
+  return supervise::fingerprint(0x13AD0CA7, canon);
 }
 
 std::string encode_observation(const std::vector<std::string>& word,
@@ -657,198 +580,99 @@ std::optional<LearnObservation> decode_observation(std::string_view payload) {
 
 SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options) {
   SupervisedLearn run;
-  const int k = options.arbitration_k;
-  const int n = options.arbitration_n;
-  if (n < 0 || (n > 0 && (k <= n / 2 || k > n))) {
+  auto refuse = [&run](std::string reason) {
     run.aborted = true;
-    run.abort_reason = "invalid arbitration threshold " + std::to_string(k) +
-                       "-of-" + std::to_string(n) + " (need n/2 < k <= n)";
+    run.abort_reason = std::move(reason);
     run.result.inconclusive = true;
     run.result.note = run.abort_reason;
     return run;
+  };
+  const int k = options.arbitration_k;
+  const int n = options.arbitration_n;
+  if (n < 0 || (n > 0 && (k <= n / 2 || k > n))) {
+    return refuse("invalid arbitration threshold " + std::to_string(k) + "-of-" +
+                  std::to_string(n) + " (need n/2 < k <= n)");
   }
-  const std::string opts_hash = learn_options_hash(options.learn, k, n);
-  const std::string tag = options.run_tag.empty() ? "learn" : options.run_tag;
-  const std::string header_line = encode_learn_header(tag, opts_hash);
-
-  JournalLock lock;
-  std::unique_ptr<JournalWriter> writer;
-  std::vector<LearnObservation> adopted;
-  if (!options.journal_path.empty()) {
-    if (!lock.acquire(options.journal_path)) {
-      run.aborted = true;
-      run.abort_reason = "concurrent learn run: " + lock.error();
-      run.result.inconclusive = true;
-      run.result.note = run.abort_reason;
-      return run;
-    }
-    if (options.resume) {
-      const JournalLoad load = load_journal(options.journal_path);
-      if (!load.payloads.empty()) {
-        const std::optional<LearnJournalHeader> header =
-            decode_learn_header(load.payloads.front());
-        if (!header) {
-          run.journal_note = "journal header malformed; starting fresh";
-        } else if (header->tag != tag) {
-          run.journal_note = "journal header mismatch (tag '" + header->tag +
-                             "' vs '" + tag + "'); starting fresh";
-        } else if (header->opts != opts_hash) {
-          run.aborted = true;
-          run.abort_reason =
-              "resume refused: journal " + options.journal_path +
-              " was written with options hash " + header->opts +
-              " but this run has " + opts_hash +
-              "; re-run with matching options or delete the journal";
-          run.result.inconclusive = true;
-          run.result.note = run.abort_reason;
-          return run;
-        } else {
-          // Adopt records through a validation trie: a malformed record or
-          // one contradicting an earlier record ends adoption at the valid
-          // prefix — resume never guesses at damage.
-          OutputTrie vtrie;
-          for (std::size_t i = 1; i < load.payloads.size(); ++i) {
-            const std::optional<LearnObservation> obs =
-                decode_observation(load.payloads[i]);
-            bool ok = obs.has_value();
-            if (ok) {
-              const std::size_t known = vtrie.known_prefix_length(obs->word);
-              if (known > 0) {
-                const Word prefix(obs->word.begin(),
-                                  obs->word.begin() + static_cast<std::ptrdiff_t>(known));
-                const Word committed = *vtrie.lookup(prefix);
-                for (std::size_t p = 0; p < known; ++p) {
-                  if (obs->outputs[p] != committed[p]) {
-                    ok = false;
-                    break;
-                  }
-                }
-              }
-            }
-            if (!ok) {
-              run.journal_note =
-                  "journal record " + std::to_string(i) +
-                  (obs ? " contradicts an earlier record" : " is malformed") +
-                  "; adopted the valid prefix (" + std::to_string(adopted.size()) +
-                  " observations)";
-              break;
-            }
-            vtrie.insert(obs->word, obs->outputs);
-            adopted.push_back(*obs);
-          }
-        }
-      }
-    }
-    // Rebuild the journal deterministically from exactly what was adopted,
-    // so the writer and the replay cache agree byte-for-byte on the durable
-    // state (JournalWriter's own adoption is CRC-level only — it would keep
-    // lines the strict codec above rejected).
-    std::remove(options.journal_path.c_str());
-    writer = std::make_unique<JournalWriter>(options.journal_path);
-    writer->append(header_line);
-    for (const LearnObservation& obs : adopted) {
-      writer->append(encode_observation(obs.word, obs.outputs));
-    }
-    if (!writer->commit()) {
-      run.journal_error = "journal commit failed at " + options.journal_path +
-                          "; learning continued without durability";
-    }
+  supervise::JournalSession journal;
+  if (!journal.open(options, "learn", learn_options_hash(options.learn, k, n))) {
+    return refuse(journal.refusal());
   }
-  run.adopted = adopted.size();
-
-  JournaledSul wrapper(sul, options, std::move(writer), header_line,
-                       std::move(adopted));
+  run.journal_note = journal.note();
+  JournaledSul wrapper(sul, options, journal, &run.journal_note);
+  run.adopted = wrapper.adopted();
   LearnOptions eff = options.learn;
   eff.cancel = wrapper.token();
 
-  const int max_attempts = 1 + std::max(0, options.retries);
-  int attempts_used = 0;
   LearnResult result;
-  LearnFailure cls = LearnFailure::kNone;
   std::string diag;
-  for (;;) {
+  const auto attempt = [&](int) {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
-      cls = LearnFailure::kCancelled;
       diag = "learning cancelled by caller";
-      result.inconclusive = true;
-      result.converged = false;
+      return Failure::kCancelled;
+    }
+    // An arbitration override restarts the learn from the corrected journal
+    // without spending an attempt: it is progress, not failure.
+    for (;;) {
+      wrapper.begin_attempt();
+      std::exception_ptr thrown;
+      try {
+        result = learn_mealy(wrapper, eff);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      wrapper.finish_attempt();
+      if (wrapper.restart_requested()) continue;
+      if (thrown) std::rethrow_exception(thrown);
       break;
     }
-    wrapper.begin_attempt();
-    bool threw = false;
-    std::string what;
-    try {
-      result = learn_mealy(wrapper, eff);
-    } catch (const std::exception& e) {
-      threw = true;
-      what = e.what();
-    } catch (...) {
-      threw = true;
-      what = "unknown exception";
-    }
-    wrapper.finish_attempt();
-    if (wrapper.restart_requested()) continue;  // override: re-learn, no attempt spent
-    ++attempts_used;
-    if (threw) {
-      cls = LearnFailure::kException;
-      diag = "worker exception: " + what;
-      result = LearnResult();
-      result.inconclusive = true;
-      result.note = diag;
-    } else if (result.converged) {
-      cls = LearnFailure::kNone;
+    if (result.converged) {
       diag.clear();
-    } else if (wrapper.failure() != LearnFailure::kNone) {
-      cls = wrapper.failure();
+      return Failure::kNone;
+    }
+    if (wrapper.failure() != Failure::kNone) {
       diag = wrapper.diagnostics();
-    } else if (result.inconclusive) {
-      cls = LearnFailure::kUnavailable;
+      return wrapper.failure();
+    }
+    if (result.inconclusive) {
       diag = result.note;
-    } else {
-      cls = LearnFailure::kNone;  // max_rounds exhausted: honest non-convergence
-      diag.clear();
+      return Failure::kUnavailable;
     }
-    if (cls == LearnFailure::kNone || cls == LearnFailure::kContested ||
-        cls == LearnFailure::kCancelled) {
-      break;
-    }
-    if (attempts_used >= max_attempts) {
-      result.inconclusive = true;
-      result.converged = false;
-      if (!result.note.empty()) result.note += " ";
-      result.note += "[learn supervisor: " + std::string(to_string(cls)) +
-                     " persisted through " + std::to_string(attempts_used) +
-                     " attempts]";
-      break;
-    }
-    if (cls == LearnFailure::kDeadline || cls == LearnFailure::kQueryBudget ||
-        cls == LearnFailure::kByteBudget) {
-      eff.eq_test_words = std::max(
-          1, static_cast<int>(static_cast<double>(eff.eq_test_words) * options.degrade_factor));
-      eff.eq_test_max_length = std::max(
-          1, static_cast<int>(static_cast<double>(eff.eq_test_max_length) * options.degrade_factor));
-    }
-    if (options.backoff_seconds > 0) {
-      const double delay = options.backoff_seconds * std::ldexp(1.0, attempts_used - 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
-  }
-  if (cls == LearnFailure::kContested || cls == LearnFailure::kCancelled) {
+    diag.clear();  // max_rounds exhausted: honest non-convergence
+    return Failure::kNone;
+  };
+  const auto on_exception = [&](const std::string& what) {
+    diag = supervise::worker_exception(what);
+    result = LearnResult();
+    result.inconclusive = true;
+    result.note = diag;
+  };
+  const auto degrade = [&] {
+    eff.eq_test_words = std::max(
+        1, static_cast<int>(static_cast<double>(eff.eq_test_words) * options.degrade_factor));
+    eff.eq_test_max_length = std::max(
+        1, static_cast<int>(static_cast<double>(eff.eq_test_max_length) * options.degrade_factor));
+  };
+  const supervise::LadderResult ladder_result = supervise::run_ladder(
+      options, "learn supervisor", &result.note, attempt, on_exception, degrade);
+  const Failure cls = ladder_result.failure;
+  if (cls != Failure::kNone) {
     result.inconclusive = true;
     result.converged = false;
-    if (!diag.empty()) result.note = diag;
+  }
+  if ((cls == Failure::kContested || cls == Failure::kCancelled) && !diag.empty()) {
+    result.note = diag;
   }
   result.arbitrations = wrapper.arbitrations();
   result.arbitration_requeries = wrapper.arbitration_requeries();
   result.arbitration_overrides = wrapper.arbitration_overrides();
   result.quarantined = wrapper.quarantined();
   run.result = std::move(result);
-  run.attempts = std::max(1, attempts_used);
+  run.attempts = ladder_result.attempts;
   run.failure = cls;
   run.diagnostics = diag;
   run.replayed = wrapper.replayed_total();
-  run.journal_records = wrapper.journal_records();
-  if (run.journal_error.empty()) run.journal_error = wrapper.journal_error();
+  run.journal_records = journal.records();
+  run.journal_error = journal.error();
   return run;
 }
 

@@ -11,6 +11,8 @@
 // (or PROCHECK_NIGHTLY=1) covers every byte / every probe.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "checker/prochecker.h"
 #include "common/journal.h"
 #include "common/thread_pool.h"
 #include "learner/learn_supervisor.h"
@@ -80,9 +83,8 @@ void spill(const std::string& path, const std::string& bytes) {
 /// Writes a journal with proper CRC tags from raw payload lines.
 void craft_journal(const std::string& path, const std::vector<std::string>& payloads) {
   remove_journal(path);
-  JournalWriter writer(path);
-  for (const std::string& p : payloads) writer.append(p);
-  ASSERT_TRUE(writer.commit());
+  JournalWriter writer;
+  ASSERT_TRUE(writer.replace(path, payloads));
 }
 
 /// The shared clean reference: one plain learn, one journaled supervised
@@ -134,26 +136,6 @@ void expect_matches_reference(const SupervisedLearn& run, const char* where) {
 // ---------------------------------------------------------------------------
 // Journal codec
 
-TEST(LearnJournalCodec, HeaderRoundTrip) {
-  const std::string line = encode_learn_header("cls", "0123456789abcdef");
-  const auto h = decode_learn_header(line);
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->tag, "cls");
-  EXPECT_EQ(h->opts, "0123456789abcdef");
-}
-
-TEST(LearnJournalCodec, HeaderRejectsDamage) {
-  EXPECT_FALSE(decode_learn_header(""));
-  EXPECT_FALSE(decode_learn_header("learn-header"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=2 tag=cls opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag= opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789abcde"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789ABCDEF"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789abcdef "));
-  EXPECT_FALSE(decode_learn_header("learn-header  v=1 tag=cls opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("obs 1 power_on attach_request"));
-}
-
 TEST(LearnJournalCodec, ObservationRoundTrip) {
   const Word word = {"power_on", "paging"};
   const Word outs = {"attach_request", "service_request"};
@@ -174,7 +156,8 @@ TEST(LearnJournalCodec, ObservationRejectsDamage) {
   EXPECT_FALSE(decode_observation("obs x power_on attach_request"));
   EXPECT_FALSE(decode_observation("obs 1  power_on attach_request"));  // empty token
   EXPECT_FALSE(decode_observation("obs 99999 power_on attach_request"));
-  EXPECT_FALSE(decode_observation("learn-header v=1 tag=cls opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_observation(
+      supervise::encode_header({"cls", learn_options_hash(tiny_options(), 3, 5)})));
 }
 
 TEST(LearnJournalCodec, OptionsHashDependsOnEveryKnob) {
@@ -204,7 +187,7 @@ TEST(LearnSupervisor, UnjournaledSupervisedMatchesPlainLearn) {
   const SupervisedLearn run = learn_supervised(sul, o);
   expect_matches_reference(run, "unjournaled");
   EXPECT_EQ(run.attempts, 1);
-  EXPECT_EQ(run.failure, LearnFailure::kNone);
+  EXPECT_EQ(run.failure, supervise::Failure::kNone);
   EXPECT_EQ(run.adopted, 0u);
   EXPECT_EQ(run.replayed, 0u);
   EXPECT_EQ(run.journal_records, 0u);
@@ -312,6 +295,58 @@ TEST(LearnSupervisor, ResumeRefusalNamesBothFingerprints) {
   EXPECT_EQ(slurp(path), ref.journal_bytes);
 }
 
+TEST(LearnSupervisor, AnalyzeJournalIsRefusedAndLeftUntouched) {
+  // Both supervisors write the same header and tag it with the profile, so
+  // only the options fingerprint tells an analyze journal apart.
+  const std::string path = temp_path("learn_cross.journal");
+  remove_journal(path);
+  checker::AnalysisOptions analyze;
+  analyze.only_properties = {"P04"};
+  analyze.jobs = 1;
+  analyze.journal_path = path;
+  ASSERT_FALSE(checker::ProChecker::analyze(ue::StackProfile::cls(), analyze).aborted);
+  const std::string bytes = slurp(path);
+  ASSERT_FALSE(bytes.empty());
+
+  LearnSupervisorOptions o;
+  o.learn = tiny_options();
+  o.journal_path = path;
+  o.resume = true;
+  o.run_tag = "cls";
+  UeSul sul(ue::StackProfile::cls());
+  const SupervisedLearn run = learn_supervised(sul, o);
+  EXPECT_TRUE(run.aborted);
+  EXPECT_NE(run.abort_reason.find("resume refused"), std::string::npos) << run.abort_reason;
+  EXPECT_NE(run.abort_reason.find(checker::analysis_options_hash(analyze, ue::StackProfile::cls())),
+            std::string::npos)
+      << run.abort_reason;
+  EXPECT_EQ(slurp(path), bytes);
+}
+
+TEST(LearnSupervisor, FailedJournalReplacementKeepsTheOldJournal) {
+  const Reference& ref = reference();
+  const std::string path = temp_path("learn_tmp_blocked.journal");
+  remove_journal(path);
+  spill(path, ref.journal_bytes);
+  // A directory where the replacement would be written makes it fail.
+  ASSERT_EQ(::mkdir((path + ".tmp").c_str(), 0755), 0);
+  LearnSupervisorOptions o;
+  o.learn = tiny_options();
+  o.journal_path = path;
+  o.resume = true;
+  o.run_tag = "cls";
+  UeSul sul(ue::StackProfile::cls());
+  const SupervisedLearn run = learn_supervised(sul, o);
+  std::remove((path + ".tmp").c_str());
+  expect_matches_reference(run, "replacement blocked");
+  EXPECT_FALSE(run.journal_error.empty());
+  // Every record survives: the old journal is replaced only once its
+  // successor is durable.
+  EXPECT_EQ(load_journal(path).payloads.size(), ref.supervised.journal_records + 1);
+  EXPECT_EQ(slurp(path), ref.journal_bytes);
+  remove_journal(path);
+}
+
 TEST(LearnSupervisor, TagMismatchDiscardsJournalAndStartsFresh) {
   const Reference& ref = reference();
   const std::string path = temp_path("learn_tag.journal");
@@ -354,7 +389,8 @@ TEST(LearnSupervisor, MalformedRecordStopsAdoptionAtValidPrefix) {
 }
 
 TEST(LearnSupervisor, ContradictingRecordStopsAdoptionAtValidPrefix) {
-  const std::string header = encode_learn_header("cls", learn_options_hash(tiny_options(), 3, 5));
+  const std::string header =
+      supervise::encode_header({"cls", learn_options_hash(tiny_options(), 3, 5)});
   const std::string path = temp_path("learn_contradict.journal");
   craft_journal(path, {header, "obs 1 power_on attach_request",
                        "obs 2 power_on paging bogus_output service_request"});
@@ -405,7 +441,7 @@ TEST(LearnSupervisor, ExternalCancelIsStructured) {
   UeSul sul(ue::StackProfile::cls());
   const SupervisedLearn run = learn_supervised(sul, o);
   EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.failure, LearnFailure::kCancelled);
+  EXPECT_EQ(run.failure, supervise::Failure::kCancelled);
   EXPECT_TRUE(run.result.inconclusive);
   EXPECT_FALSE(run.result.converged);
 }
@@ -453,7 +489,7 @@ TEST(LearnSupervisor, ExceptionWithoutRetryIsStructuredThenResumable) {
     {
       UeSul sul(ue::StackProfile::cls());
       const SupervisedLearn crashed = learn_supervised(sul, o);
-      EXPECT_EQ(crashed.failure, LearnFailure::kException) << "probe " << p;
+      EXPECT_EQ(crashed.failure, supervise::Failure::kException) << "probe " << p;
       EXPECT_TRUE(crashed.result.inconclusive);
       EXPECT_NE(crashed.result.note.find("worker exception"), std::string::npos)
           << crashed.result.note;
@@ -481,7 +517,7 @@ TEST(LearnSupervisor, DeadlineTripsToStructuredInconclusive) {
   UeSul sul(ue::StackProfile::cls());
   const SupervisedLearn run = learn_supervised(sul, o);
   EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.failure, LearnFailure::kDeadline);
+  EXPECT_EQ(run.failure, supervise::Failure::kDeadline);
   EXPECT_TRUE(run.result.inconclusive);
   EXPECT_FALSE(run.result.converged);
   EXPECT_NE(run.result.note.find("deadline"), std::string::npos) << run.result.note;
@@ -513,7 +549,7 @@ TEST(LearnSupervisor, ExhaustedBudgetSurfacesPersistedFailure) {
   o.backoff_seconds = 0;
   UeSul sul(ue::StackProfile::cls());
   const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_EQ(run.failure, LearnFailure::kQueryBudget);
+  EXPECT_EQ(run.failure, supervise::Failure::kQueryBudget);
   EXPECT_EQ(run.attempts, 3);
   EXPECT_TRUE(run.result.inconclusive);
   EXPECT_NE(run.result.note.find("persisted through 3 attempts"), std::string::npos)
@@ -527,7 +563,7 @@ TEST(LearnSupervisor, ByteBudgetTripsStructured) {
   o.backoff_seconds = 0;
   UeSul sul(ue::StackProfile::cls());
   const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_EQ(run.failure, LearnFailure::kByteBudget);
+  EXPECT_EQ(run.failure, supervise::Failure::kByteBudget);
   EXPECT_TRUE(run.result.inconclusive);
 }
 
@@ -628,7 +664,7 @@ TEST(LearnArbitration, UnresolvedCellIsQuarantinedNeverAWrongMachine) {
   o.arbitration_n = 5;
   const SupervisedLearn run = learn_supervised(contested, o);
   EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.failure, LearnFailure::kContested);
+  EXPECT_EQ(run.failure, supervise::Failure::kContested);
   EXPECT_TRUE(run.result.inconclusive);
   EXPECT_FALSE(run.result.converged);
   ASSERT_FALSE(run.result.quarantined.empty());

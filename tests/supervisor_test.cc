@@ -20,6 +20,7 @@
 #include "checker/supervisor.h"
 #include "common/journal.h"
 #include "common/strings.h"
+#include "learner/learn_supervisor.h"
 #include "mc/reach_graph.h"
 
 namespace procheck::checker {
@@ -61,7 +62,11 @@ SupervisedRun run_sup(const std::vector<const PropertyDef*>& sel, const Supervis
   return run_supervised(pipeline().tm, pipeline().flat, sel, {}, cegar, opts);
 }
 
-std::string tmp_path(const std::string& name) { return ::testing::TempDir() + name; }
+// Per-process names: supervisor_tsan runs a case of this binary alongside
+// the full suite.
+std::string tmp_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -91,7 +96,8 @@ TEST(Journal, RoundTripsPayloadsThroughCommit) {
   const std::string path = tmp_path("journal_roundtrip.jsonl");
   std::remove(path.c_str());
   {
-    JournalWriter writer(path);
+    JournalWriter writer;
+    ASSERT_TRUE(writer.replace(path, {}));
     EXPECT_EQ(writer.records(), 0u);
     writer.append("{\"a\":1}");
     writer.append("payload with spaces and \"quotes\"");
@@ -105,20 +111,14 @@ TEST(Journal, RoundTripsPayloadsThroughCommit) {
   ASSERT_EQ(load.payloads.size(), 2u);
   EXPECT_EQ(load.payloads[0], "{\"a\":1}");
   EXPECT_EQ(load.payloads[1], "payload with spaces and \"quotes\"");
-
-  // A new writer adopts the valid prefix and extends it.
-  JournalWriter writer(path);
-  EXPECT_EQ(writer.records(), 2u);
-  writer.append("third");
-  ASSERT_TRUE(writer.commit());
-  EXPECT_EQ(load_journal(path).payloads.size(), 3u);
 }
 
 TEST(Journal, TornTailAndCorruptionPoisonTheRest) {
   const std::string path = tmp_path("journal_torn.jsonl");
   std::remove(path.c_str());
   {
-    JournalWriter writer(path);
+    JournalWriter writer;
+    ASSERT_TRUE(writer.replace(path, {}));
     writer.append("first");
     writer.append("second");
     writer.append("third");
@@ -148,7 +148,8 @@ TEST(Journal, EveryByteTruncationRecoversAValidPrefix) {
   const std::vector<std::string> payloads = {"alpha", "bravo {\"x\":2}", "charlie",
                                              "delta-delta", "echo"};
   {
-    JournalWriter writer(path);
+    JournalWriter writer;
+    ASSERT_TRUE(writer.replace(path, {}));
     for (const std::string& p : payloads) writer.append(p);
     ASSERT_TRUE(writer.commit());
   }
@@ -180,7 +181,7 @@ TEST(Journal, EveryByteTruncationRecoversAValidPrefix) {
 PropertyOutcome sample_outcome() {
   PropertyOutcome o;
   o.attempts = 3;
-  o.failure = FailureClass::kBudget;
+  o.failure = supervise::Failure::kBudget;
   o.diagnostics = "diag with \"quotes\"\nand a newline\tand tab";
   o.result.status = PropertyResult::Status::kAttack;
   o.result.property_id = "S99";
@@ -271,7 +272,7 @@ TEST(Supervisor, WorkerCrashContainedToItsProperty) {
     const PropertyOutcome& o = faulted.outcomes[i];
     if (sel[i]->id == "S05") {
       EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
-      EXPECT_EQ(o.failure, FailureClass::kException);
+      EXPECT_EQ(o.failure, supervise::Failure::kException);
       EXPECT_EQ(o.diagnostics, "injected worker crash");
       EXPECT_TRUE(contains(o.result.note, "worker exception"));
     } else {
@@ -294,7 +295,7 @@ TEST(Supervisor, RetryRecoversFromTransientCrash) {
   SupervisedRun run = run_sup(sel, opts, cegar);
   ASSERT_EQ(run.outcomes.size(), 1u);
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kVerified);
-  EXPECT_EQ(run.outcomes[0].failure, FailureClass::kNone);
+  EXPECT_EQ(run.outcomes[0].failure, supervise::Failure::kNone);
   EXPECT_EQ(run.outcomes[0].attempts, 2);
 }
 
@@ -305,7 +306,7 @@ TEST(Supervisor, DeadlineTripClassified) {
   SupervisedRun run = run_sup(sel, opts, {});
   ASSERT_EQ(run.outcomes.size(), 1u);
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kInconclusive);
-  EXPECT_EQ(run.outcomes[0].failure, FailureClass::kDeadline);
+  EXPECT_EQ(run.outcomes[0].failure, supervise::Failure::kDeadline);
 }
 
 TEST(Supervisor, MemCeilingTripClassified) {
@@ -315,7 +316,7 @@ TEST(Supervisor, MemCeilingTripClassified) {
   SupervisedRun run = run_sup(sel, opts, {});
   ASSERT_EQ(run.outcomes.size(), 1u);
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kInconclusive);
-  EXPECT_EQ(run.outcomes[0].failure, FailureClass::kMemCeiling);
+  EXPECT_EQ(run.outcomes[0].failure, supervise::Failure::kMemCeiling);
   EXPECT_TRUE(contains(run.outcomes[0].result.note, "memory ceiling"));
 }
 
@@ -331,7 +332,7 @@ TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
   ASSERT_EQ(run.outcomes.size(), 1u);
   const PropertyOutcome& o = run.outcomes[0];
   EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
-  EXPECT_EQ(o.failure, FailureClass::kBudget);
+  EXPECT_EQ(o.failure, supervise::Failure::kBudget);
   EXPECT_EQ(o.attempts, 3);
   EXPECT_TRUE(contains(o.result.note, "budget persisted through 3 attempts"))
       << o.result.note;
@@ -351,7 +352,7 @@ TEST(SupervisorGraph, CleanRunChecksEveryPropertyAgainstOneGraph) {
 
 /// The outcome a graph-free, single-attempt supervisor run produces.
 PropertyOutcome per_property_outcome(const PropertyDef& prop, const CegarOptions& cegar,
-                                     FailureClass failure) {
+                                     supervise::Failure failure) {
   cpv::LteCryptoModel crypto(cpv::LteCryptoModel::Options{});
   PropertyOutcome out;
   out.result = check_property(pipeline().tm, pipeline().flat, prop, crypto, cegar);
@@ -370,7 +371,7 @@ TEST(SupervisorGraph, TrippedBuildFallsBackToPerPropertyPath) {
     CegarOptions ref;
     ref.max_seconds = 1e-9;
     EXPECT_EQ(encode_outcome(run.outcomes[0]),
-              encode_outcome(per_property_outcome(*sel[0], ref, FailureClass::kDeadline)));
+              encode_outcome(per_property_outcome(*sel[0], ref, supervise::Failure::kDeadline)));
   }
   {
     SupervisorOptions opts;
@@ -380,7 +381,7 @@ TEST(SupervisorGraph, TrippedBuildFallsBackToPerPropertyPath) {
     CegarOptions ref;
     ref.max_visited_bytes = 1;
     EXPECT_EQ(encode_outcome(run.outcomes[0]),
-              encode_outcome(per_property_outcome(*sel[0], ref, FailureClass::kMemCeiling)));
+              encode_outcome(per_property_outcome(*sel[0], ref, supervise::Failure::kMemCeiling)));
   }
   {
     CegarOptions cegar;
@@ -394,7 +395,7 @@ TEST(SupervisorGraph, TrippedBuildFallsBackToPerPropertyPath) {
     // The last attempt ran at the degraded floor of 2 states.
     CegarOptions last;
     last.max_states = 2;
-    PropertyOutcome ref = per_property_outcome(*sel[0], last, FailureClass::kBudget);
+    PropertyOutcome ref = per_property_outcome(*sel[0], last, supervise::Failure::kBudget);
     ref.attempts = 3;
     ref.result.note += " [supervisor: budget persisted through 3 attempts]";
     EXPECT_EQ(encode_outcome(run.outcomes[0]), encode_outcome(ref));
@@ -460,7 +461,7 @@ TEST(Supervisor, PreCancelledRunShedsEverythingAndJournalsNothing) {
   EXPECT_EQ(run.cancelled, sel.size());
   EXPECT_EQ(run.journal_records, 0u);  // interruptions are never journaled
   for (const PropertyOutcome& o : run.outcomes) {
-    EXPECT_EQ(o.failure, FailureClass::kCancelled);
+    EXPECT_EQ(o.failure, supervise::Failure::kCancelled);
     EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
   }
   // Resuming that journal re-verifies everything (nothing was adopted).
@@ -709,6 +710,37 @@ TEST(AnalyzeResume, RefusedWhenVerdictShapingOptionsChange) {
   ImplementationReport resumed = ProChecker::analyze(ue::StackProfile::cls(), same);
   EXPECT_FALSE(resumed.aborted);
   EXPECT_EQ(resumed.resumed_count, ref.results.size());
+}
+
+TEST(AnalyzeResume, LearnJournalIsRefusedAndLeftUntouched) {
+  // Both supervisors write the same header and tag it with the profile, so
+  // only the options fingerprint tells a learn journal apart.
+  const std::string path = tmp_path("analyze_cross.jsonl");
+  std::remove(path.c_str());
+  learner::LearnSupervisorOptions learn;
+  learn.learn.eq_test_words = 8;
+  learn.learn.eq_test_max_length = 3;
+  learn.journal_path = path;
+  learn.run_tag = "cls";
+  learner::UeSul sul(ue::StackProfile::cls());
+  ASSERT_TRUE(learner::learn_supervised(sul, learn).result.converged);
+  const std::string bytes = slurp(path);
+  ASSERT_FALSE(bytes.empty());
+
+  AnalysisOptions options;
+  options.only_properties = {"P04"};
+  options.jobs = 1;
+  options.journal_path = path;
+  options.resume = true;
+  ImplementationReport rep = ProChecker::analyze(ue::StackProfile::cls(), options);
+  EXPECT_TRUE(rep.aborted);
+  EXPECT_TRUE(rep.results.empty());
+  EXPECT_TRUE(contains(rep.abort_reason, "resume refused")) << rep.abort_reason;
+  EXPECT_TRUE(contains(rep.abort_reason,
+                       learner::learn_options_hash(learn.learn, learn.arbitration_k,
+                                                   learn.arbitration_n)))
+      << rep.abort_reason;
+  EXPECT_EQ(slurp(path), bytes);
 }
 
 TEST(AnalyzeResume, OptionsHashCoversVerdictKnobsOnly) {
