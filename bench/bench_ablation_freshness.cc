@@ -31,18 +31,6 @@ std::map<std::string, std::map<std::string, Outcome>>& outcomes() {
   return o;
 }
 
-std::string status_name(PropertyResult::Status s) {
-  switch (s) {
-    case PropertyResult::Status::kVerified:
-      return "verified";
-    case PropertyResult::Status::kAttack:
-      return "ATTACK";
-    case PropertyResult::Status::kNotApplicable:
-      return "n/a";
-  }
-  return "?";
-}
-
 void BM_SqnProperties(benchmark::State& state, bool with_limit) {
   ue::StackProfile profile = ue::StackProfile::cls();
   if (with_limit) profile.sqn_freshness_limit = 1;
@@ -52,7 +40,7 @@ void BM_SqnProperties(benchmark::State& state, bool with_limit) {
     checker::ImplementationReport rep = checker::ProChecker::analyze(profile, options);
     auto& slot = outcomes()[with_limit ? "with L" : "without L"];
     for (const PropertyResult& r : rep.results) {
-      slot[r.property_id] = {status_name(r.status), r.iterations,
+      slot[r.property_id] = {std::string(checker::status_token(r.status)), r.iterations,
                              static_cast<int>(r.refinements.size()), r.total_seconds};
     }
     state.counters["attacks"] = rep.attack_count();

@@ -5,7 +5,8 @@
 // shared reachable graph the searches walked (DESIGN.md §10): `states` sums
 // the states each property's searches visited, `graph_states` the states
 // interned once for all of them (before the shared graph, every search
-// interned its own `states`).
+// interned its own `states`), and `scan_answered` / `scan_seconds` the
+// never-claims whose first iteration one scan of the graph answered.
 //
 //   bench_catalog_parallel [--profile <cls|srsue|oai>] [--write-json <path>]
 //                          [--supervised]
@@ -15,9 +16,15 @@
 // against the jobs=1 report — a determinism violation fails the benchmark.
 //
 // --supervised additionally measures the fault-free cost of the analysis
-// supervisor (retries armed + durable journal) against an adjacent jobs=1
-// baseline and fails the benchmark if the overhead exceeds 3%.
+// supervisor (retries armed + durable journal) against jobs=1 baselines:
+// kSupervisedPairs interleaved (baseline, supervised) pairs, alternating
+// which run goes first, and fails the benchmark if the median of the
+// per-pair overheads reaches 3%. One pair is not an estimate: single cls
+// pairs range over tens of percent on a shared host. With --write-json the
+// measurement is written (as the "supervised" block) before the gate
+// decides the exit status.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +49,8 @@ struct RunSample {
   std::size_t peak_visited_bytes = 0;
   std::size_t graph_states = 0;
   double graph_build_seconds = 0;
+  std::size_t scan_answered = 0;
+  double scan_seconds = 0;
   int verified = 0;
   int attacks = 0;
 };
@@ -81,6 +90,8 @@ RunSample run_catalog(const ue::StackProfile& profile, int jobs, std::string* pr
   s.attacks = rep.attack_count();
   s.graph_states = rep.graph_states;
   s.graph_build_seconds = rep.graph_build_seconds;
+  s.scan_answered = rep.scan_answered;
+  s.scan_seconds = rep.scan_seconds;
   for (const checker::PropertyResult& r : rep.results) {
     s.states += r.total_states;
     s.peak_visited_bytes = std::max(s.peak_visited_bytes, r.peak_visited_bytes);
@@ -89,12 +100,26 @@ RunSample run_catalog(const ue::StackProfile& profile, int jobs, std::string* pr
   return s;
 }
 
+constexpr int kSupervisedPairs = 9;
+constexpr double kSupervisedBoundPct = 3.0;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0.0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 struct SupervisedSample {
   bool measured = false;
-  double baseline_wall = 0;
-  double supervised_wall = 0;
-  double overhead_pct = 0;
+  int pairs = 0;
+  double baseline_wall = 0;    // median over the pairs
+  double supervised_wall = 0;  // median over the pairs
+  double overhead_pct = 0;     // median of the per-pair overheads
+  double min_pair_pct = 0;
+  double max_pair_pct = 0;
   std::size_t journal_records = 0;
+
+  bool within_bound() const { return overhead_pct < kSupervisedBoundPct; }
 };
 
 void write_json(const std::string& path, const std::string& profile,
@@ -115,11 +140,12 @@ void write_json(const std::string& path, const std::string& profile,
                  "    {\"jobs\": %d, \"wall_seconds\": %.3f, \"states\": %zu,"
                  " \"states_per_sec\": %.0f, \"peak_visited_bytes\": %zu,"
                  " \"graph_states\": %zu, \"graph_build_seconds\": %.3f,"
+                 " \"scan_answered\": %zu, \"scan_seconds\": %.4f,"
                  " \"verified\": %d, \"attacks\": %d}%s\n",
                  s.jobs, s.wall_seconds, s.states,
                  s.wall_seconds > 0 ? static_cast<double>(s.states) / s.wall_seconds : 0.0,
-                 s.peak_visited_bytes, s.graph_states, s.graph_build_seconds, s.verified,
-                 s.attacks,
+                 s.peak_visited_bytes, s.graph_states, s.graph_build_seconds, s.scan_answered,
+                 s.scan_seconds, s.verified, s.attacks,
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -129,11 +155,14 @@ void write_json(const std::string& path, const std::string& profile,
                sup.measured ? "," : "");
   if (sup.measured) {
     std::fprintf(f,
-                 "  \"supervised\": {\"baseline_wall_seconds\": %.3f,"
-                 " \"supervised_wall_seconds\": %.3f, \"overhead_pct\": %.2f,"
-                 " \"journal_records\": %zu}\n",
-                 sup.baseline_wall, sup.supervised_wall, sup.overhead_pct,
-                 sup.journal_records);
+                 "  \"supervised\": {\"pairs\": %d, \"estimator\": \"median of pair overheads\","
+                 " \"baseline_wall_seconds\": %.3f, \"supervised_wall_seconds\": %.3f,"
+                 " \"overhead_pct\": %.2f, \"min_pair_overhead_pct\": %.2f,"
+                 " \"max_pair_overhead_pct\": %.2f, \"bound_pct\": %.1f,"
+                 " \"within_bound\": %s, \"journal_records\": %zu}\n",
+                 sup.pairs, sup.baseline_wall, sup.supervised_wall, sup.overhead_pct,
+                 sup.min_pair_pct, sup.max_pair_pct, kSupervisedBoundPct,
+                 sup.within_bound() ? "true" : "false", sup.journal_records);
   }
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -182,11 +211,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "jobs=%d: %.2fs wall, %zu states (%.0f states/sec), peak visited %.1f MiB,"
-        " graph %zu states built in %.2fs\n",
+        " graph %zu states built in %.2fs, scan answered %zu never-claims in %.4fs\n",
         s.jobs, s.wall_seconds, s.states,
         s.wall_seconds > 0 ? static_cast<double>(s.states) / s.wall_seconds : 0.0,
         static_cast<double>(s.peak_visited_bytes) / (1024.0 * 1024.0), s.graph_states,
-        s.graph_build_seconds);
+        s.graph_build_seconds, s.scan_answered, s.scan_seconds);
     std::fflush(stdout);
     runs.push_back(s);
   }
@@ -211,36 +240,55 @@ int main(int argc, char** argv) {
   if (supervised) {
     // Fault-free supervisor overhead: retries armed, durable journal on, no
     // faults injected — the watchdog polling and journal fsyncs are the only
-    // extra work. Measured against an *adjacent* jobs=1 baseline so machine
-    // drift between the sweep above and this section cannot skew the ratio.
-    std::string base_print;
-    double base = run_catalog(profile, 1, &base_print).wall_seconds;
+    // extra work. Each pair runs its baseline and supervised catalogs back
+    // to back (the order alternates), so machine drift moves both alike.
     const std::string journal = "/tmp/bench_catalog_journal.jsonl";
-    std::remove(journal.c_str());
-    std::string sup_print;
-    RunSample s = run_catalog(profile, 1, &sup_print, journal, /*retries=*/2);
-    if (sup_print != reference || base_print != reference) {
-      std::fprintf(stderr, "DETERMINISM VIOLATION: supervised report differs from jobs=1\n");
-      return 1;
+    std::vector<double> base_walls, sup_walls, overheads;
+    for (int pair = 0; pair < kSupervisedPairs; ++pair) {
+      std::array<double, 2> wall{};  // baseline, supervised
+      for (int k = 0; k < 2; ++k) {
+        const bool is_supervised = (k == 0) == (pair % 2 == 1);
+        std::string print;
+        std::remove(journal.c_str());
+        RunSample s = is_supervised ? run_catalog(profile, 1, &print, journal, /*retries=*/2)
+                                    : run_catalog(profile, 1, &print);
+        if (print != reference) {
+          std::fprintf(stderr, "DETERMINISM VIOLATION: supervised report differs from jobs=1\n");
+          return 1;
+        }
+        wall[is_supervised ? 1 : 0] = s.wall_seconds;
+        if (is_supervised) {
+          // Header line is bookkeeping, not an outcome.
+          JournalLoad load = load_journal(journal);
+          sup.journal_records = load.payloads.empty() ? 0 : load.payloads.size() - 1;
+        }
+      }
+      base_walls.push_back(wall[0]);
+      sup_walls.push_back(wall[1]);
+      overheads.push_back(wall[0] > 0 ? (wall[1] - wall[0]) / wall[0] * 100.0 : 0.0);
     }
-    JournalLoad load = load_journal(journal);
     std::remove(journal.c_str());
     sup.measured = true;
-    sup.baseline_wall = base;
-    sup.supervised_wall = s.wall_seconds;
-    sup.overhead_pct = base > 0 ? (s.wall_seconds - base) / base * 100.0 : 0.0;
-    // Header line is bookkeeping, not an outcome.
-    sup.journal_records = load.payloads.empty() ? 0 : load.payloads.size() - 1;
+    sup.pairs = kSupervisedPairs;
+    sup.baseline_wall = median(base_walls);
+    sup.supervised_wall = median(sup_walls);
+    sup.overhead_pct = median(overheads);
+    sup.min_pair_pct = *std::min_element(overheads.begin(), overheads.end());
+    sup.max_pair_pct = *std::max_element(overheads.begin(), overheads.end());
     std::printf(
-        "\nSupervised overhead (jobs=1, fault-free): baseline %.2fs,"
-        " supervised %.2fs, overhead %.2f%%, %zu journal records\n",
-        sup.baseline_wall, sup.supervised_wall, sup.overhead_pct, sup.journal_records);
-    if (sup.overhead_pct >= 3.0) {
-      std::fprintf(stderr, "SUPERVISED OVERHEAD EXCEEDS 3%% (%.2f%%)\n", sup.overhead_pct);
-      return 1;
-    }
+        "\nSupervised overhead (jobs=1, fault-free, median of %d interleaved pairs):"
+        " baseline %.2fs, supervised %.2fs, overhead %.2f%% (pairs %.2f%% .. %.2f%%),"
+        " %zu journal records\n",
+        sup.pairs, sup.baseline_wall, sup.supervised_wall, sup.overhead_pct, sup.min_pair_pct,
+        sup.max_pair_pct, sup.journal_records);
   }
 
+  // The measurement is written either way; the gate is the exit status.
   if (!json_path.empty()) write_json(json_path, profile.name, runs, sup);
+  if (sup.measured && !sup.within_bound()) {
+    std::fprintf(stderr, "SUPERVISED OVERHEAD EXCEEDS %.0f%% (median %.2f%%)\n",
+                 kSupervisedBoundPct, sup.overhead_pct);
+    return 1;
+  }
   return 0;
 }

@@ -14,22 +14,6 @@
 using namespace procheck;
 using checker::PropertyResult;
 
-namespace {
-
-const char* status_str(PropertyResult::Status s) {
-  switch (s) {
-    case PropertyResult::Status::kVerified:
-      return "verified";
-    case PropertyResult::Status::kAttack:
-      return "ATTACK";
-    case PropertyResult::Status::kNotApplicable:
-      return "n/a";
-  }
-  return "?";
-}
-
-}  // namespace
-
 int main() {
   std::map<std::string, checker::ImplementationReport> reports;
   for (const auto& profile :
@@ -65,6 +49,7 @@ int main() {
   const auto& cls = reports.at("cls");
   const auto& srs = reports.at("srsue");
   const auto& oai = reports.at("oai");
+  const auto token = [](PropertyResult::Status s) { return std::string(checker::status_token(s)); };
   for (std::size_t i = 0; i < cls.results.size(); ++i) {
     const PropertyResult& c = cls.results[i];
     // Only show rows where at least one implementation is non-verified.
@@ -76,15 +61,16 @@ int main() {
     const checker::PropertyDef& def = checker::property_catalog()[i];
     t.add_row({c.property_id,
                def.type == checker::PropertyDef::Type::kSecurity ? "sec" : "priv",
-               c.attack_id.empty() ? "-" : c.attack_id, status_str(c.status),
-               status_str(srs.results[i].status), status_str(oai.results[i].status)});
+               c.attack_id.empty() ? "-" : c.attack_id, token(c.status),
+               token(srs.results[i].status), token(oai.results[i].status)});
   }
   std::printf("Findings matrix (verified-everywhere properties omitted):\n%s\n",
               t.render().c_str());
 
-  std::printf("Legend: ATTACK = realizable counterexample confirmed by the cryptographic\n"
+  std::printf("Legend: attack = realizable counterexample confirmed by the cryptographic\n"
               "verifier (and, for linkability rows, by the observational-equivalence\n"
-              "query); n/a = the stacks do not implement the targeted procedure.\n\n");
+              "query); not_applicable = the stacks do not implement the targeted\n"
+              "procedure; inconclusive = a search budget stopped the check.\n\n");
 
   // Markdown rendering of the same matrix (what the CI/report integration
   // would publish).

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <set>
 
+#include "mc/reach_graph.h"
+
 namespace procheck::checker {
 
-namespace {
-
-/// Applicability: every atom in requires_atoms must appear somewhere in the
-/// UE FSM's condition or action vocabulary.
 bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   for (const std::string& atom : prop.requires_atoms) {
     if (ue_fsm.conditions().count(atom) == 0 && ue_fsm.actions().count(atom) == 0) {
@@ -18,11 +16,10 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   return true;
 }
 
-}  // namespace
-
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
-                              const CegarOptions& options, const mc::ReachGraph* graph) {
+                              const CegarOptions& options, const mc::ReachGraph* graph,
+                              std::optional<std::uint32_t> first_hit) {
   PropertyResult result;
   result.property_id = prop.id;
   result.attack_id = prop.attack_id;
@@ -40,7 +37,9 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
   std::vector<std::uint8_t> allowed_cmd(tm.model.commands().size(), 1);
 
   mc::EdgePred bad, trigger, response;
-  if (prop.kind == PropertyDef::Kind::kEdgeNever) {
+  const bool never = prop.kind == PropertyDef::Kind::kEdgeNever;
+  if (!graph || !never) first_hit.reset();
+  if (never) {
     bad = prop.bad.compile(tm);
   } else {
     trigger = prop.trigger.compile(tm);
@@ -79,10 +78,14 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
     }
 
     mc::CheckStats stats;
-    std::optional<mc::CounterExample> cex =
-        prop.kind == PropertyDef::Kind::kEdgeNever
-            ? checker.check_edge_never(bad, &stats, mc_options)
-            : checker.check_response(trigger, response, &stats, mc_options);
+    std::optional<mc::CounterExample> cex;
+    if (first_hit && banned.empty()) {  // the unrefined iteration, read off the scan
+      cex = graph->edge_never_answer(*first_hit, mc_options.max_states, &stats);
+    } else if (never) {
+      cex = checker.check_edge_never(bad, &stats, mc_options);
+    } else {
+      cex = checker.check_response(trigger, response, &stats, mc_options);
+    }
     result.last_stats = stats;
     result.total_seconds += stats.seconds;
     result.total_states += stats.states_explored;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,9 +73,19 @@ struct CegarOptions {
 /// machine used for observational-equivalence queries. `graph`, when given,
 /// is mc::ReachGraph::build(tm.model): every MC iteration (refined or not)
 /// then walks it instead of re-exploring the model, with identical results.
+/// `first_hit`, when given with the graph for a kEdgeNever property, is the
+/// graph's first_hits() entry for prop.bad.compile_match(tm): the first,
+/// unrefined iteration is then read off the graph's BFS tree
+/// (ReachGraph::edge_never_answer) instead of walked, again with identical
+/// results. Refined iterations walk.
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options = {},
-                              const mc::ReachGraph* graph = nullptr);
+                              const mc::ReachGraph* graph = nullptr,
+                              std::optional<std::uint32_t> first_hit = std::nullopt);
+
+/// Applicability: every atom in prop.requires_atoms appears in the UE FSM's
+/// condition or action vocabulary (else the property is "not applicable").
+bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm);
 
 }  // namespace procheck::checker

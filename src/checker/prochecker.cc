@@ -153,6 +153,8 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   report.graph_states = run.graph_states;
   report.graph_edges = run.graph_edges;
   report.graph_build_seconds = run.graph_build_seconds;
+  report.scan_answered = run.scan_answered;
+  report.scan_seconds = run.scan_seconds;
   report.journal_error = std::move(run.journal_error);
 
   for (PropertyOutcome& outcome : run.outcomes) {

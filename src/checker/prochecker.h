@@ -97,6 +97,9 @@ struct ImplementationReport {
   std::size_t graph_states = 0;
   std::size_t graph_edges = 0;
   double graph_build_seconds = 0;
+  /// The never-claim scan over that graph (SupervisedRun::scan_*).
+  std::size_t scan_answered = 0;
+  double scan_seconds = 0;
   /// Non-empty when the run journal could not be written (analysis continued).
   std::string journal_error;
   /// The run refused to start (journal held by a live concurrent run, or

@@ -1,6 +1,7 @@
 #include "checker/property.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace procheck::checker {
 
@@ -55,34 +56,29 @@ bool MetaMatch::matches_meta(const CommandMeta& m) const {
   return true;
 }
 
-mc::EdgePred MetaMatch::compile(const threat::ThreatModel& tm) const {
-  // Resolve pre-state constraints once against the model.
-  std::vector<std::pair<int, std::int32_t>> pre;
+mc::EdgeMatch MetaMatch::compile_match(const threat::ThreatModel& tm) const {
+  mc::EdgeMatch m;
   for (const auto& [var_name, value_name] : pre_equals) {
     int var = tm.model.var(var_name);
     std::int32_t value = var >= 0 ? tm.model.value_index(var, value_name) : -1;
-    pre.emplace_back(var, value);
+    m.pre_equals.emplace_back(var, value);
   }
-  // The metadata half of the match depends only on the command, never on
-  // the states, so it is decided once per command here rather than once per
-  // explored edge (the checker visits each command millions of times).
-  auto meta_ok = std::make_shared<std::vector<std::uint8_t>>();
-  meta_ok->reserve(tm.model.commands().size());
+  // The metadata half depends only on the command, never on the states, so
+  // it is decided once per command here rather than once per explored edge.
+  m.commands.reserve(tm.model.commands().size());
   for (const mc::Command& cmd : tm.model.commands()) {
-    meta_ok->push_back(matches_meta(cmd.meta) ? 1 : 0);
+    m.commands.push_back(matches_meta(cmd.meta) ? 1 : 0);
   }
-  MetaMatch self = *this;
-  return [self = std::move(self), pre, meta_ok](const mc::State& before,
-                                                const mc::Command& cmd, const mc::State&) {
-    if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < meta_ok->size()) {
-      if (!(*meta_ok)[cmd.index]) return false;
-    } else if (!self.matches_meta(cmd.meta)) {  // command outside the compiled model
-      return false;
+  return m;
+}
+
+mc::EdgePred MetaMatch::compile(const threat::ThreatModel& tm) const {
+  auto m = std::make_shared<const mc::EdgeMatch>(compile_match(tm));
+  return [self = *this, m](const mc::State& before, const mc::Command& cmd, const mc::State&) {
+    if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < m->commands.size()) {
+      return m->matches(before.data(), static_cast<std::size_t>(cmd.index));
     }
-    for (const auto& [var, value] : pre) {
-      if (var < 0 || value < 0 || before[var] != value) return false;
-    }
-    return true;
+    return self.matches_meta(cmd.meta) && m->pre_holds(before.data());
   };
 }
 

@@ -30,7 +30,9 @@
 namespace procheck::checker {
 
 /// Declarative matcher over a command's metadata plus optional pre-state
-/// variable constraints; compiled to an mc::EdgePred against a ThreatModel.
+/// variable constraints; compiled against a ThreatModel to an mc::EdgeMatch
+/// (a per-command match row plus resolved pre-state pairs), which both the
+/// mc::EdgePred and the shared graph's never-claim scan evaluate.
 struct MetaMatch {
   std::optional<mc::CommandMeta::Actor> actor;
   std::optional<mc::CommandMeta::Kind> kind;
@@ -48,6 +50,11 @@ struct MetaMatch {
   std::vector<std::pair<std::string, std::string>> pre_equals;
 
   bool matches_meta(const mc::CommandMeta& m) const;
+  /// The metadata half decided once per command of tm.model, and each
+  /// pre_equals name resolved to (variable, value) indices (-1 unresolved).
+  mc::EdgeMatch compile_match(const threat::ThreatModel& tm) const;
+  /// compile_match() as an edge predicate; a command outside tm.model is
+  /// matched on its metadata directly.
   mc::EdgePred compile(const threat::ThreatModel& tm) const;
 };
 

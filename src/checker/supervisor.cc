@@ -1,6 +1,7 @@
 #include "checker/supervisor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -209,7 +210,8 @@ PropertyOutcome exception_outcome(const PropertyDef& prop, const std::string& wh
 PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                                  const CegarOptions& base, const SupervisorOptions& options,
-                                 const mc::ReachGraph* graph) {
+                                 const mc::ReachGraph* graph,
+                                 std::optional<std::uint32_t> first_hit) {
   std::size_t max_states = base.max_states;
   double deadline = min_bound(base.max_seconds, options.deadline_per_property);
   const std::size_t ceiling = min_bound(base.max_visited_bytes, options.mem_ceiling_bytes);
@@ -222,7 +224,7 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
     per_attempt.max_visited_bytes = ceiling;
     per_attempt.cancel = options.cancel;
     if (options.fault_hook) options.fault_hook(prop.id, k);
-    out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt, graph);
+    out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt, graph, first_hit);
     out.failure = classify(out.result);
     out.diagnostics = out.failure == Failure::kNone ? std::string() : out.result.note;
     return out.failure;
@@ -317,6 +319,26 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   }
   const mc::ReachGraph* shared = graph ? &*graph : nullptr;
 
+  // One scan of the graph answers every applicable never-claim's first
+  // iteration; the answers are read-only from here on.
+  std::vector<std::optional<std::uint32_t>> first_hit(selected.size());
+  if (shared) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::size_t> owner;
+    std::vector<mc::EdgeMatch> matchers;
+    for (std::size_t i : work) {
+      if (selected[i]->kind != PropertyDef::Kind::kEdgeNever) continue;
+      if (!applicable(*selected[i], ue_fsm)) continue;
+      owner.push_back(i);
+      matchers.push_back(selected[i]->bad.compile_match(tm));
+    }
+    const std::vector<std::uint32_t> hits = shared->first_hits(matchers);
+    for (std::size_t k = 0; k < owner.size(); ++k) first_hit[owner[k]] = hits[k];
+    run.scan_answered = owner.size();
+    run.scan_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+
   // One worker per job; at jobs=1 the single worker runs the properties in
   // selection order.
   ThreadPool pool(std::min(std::max<std::size_t>(1, options.jobs), work.size()));
@@ -346,7 +368,8 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
         }
         if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
         PropertyOutcome outcome =
-            run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared);
+            run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared,
+                             first_hit[i]);
         {
           std::lock_guard<std::mutex> lock(crypto_mutex);
           idle_verifiers.push_back(std::move(crypto));

@@ -80,6 +80,11 @@ struct SupervisedRun : supervise::Status {
   std::size_t graph_states = 0;
   std::size_t graph_edges = 0;
   double graph_build_seconds = 0;
+  /// The never-claim scan over the graph (ReachGraph::first_hits): the
+  /// applicable kEdgeNever properties whose first CEGAR iteration it
+  /// answered, and the seconds it took (0 / 0 without a graph).
+  std::size_t scan_answered = 0;
+  double scan_seconds = 0;
 };
 
 /// Runs `selected` under supervision. Exceptions never escape a worker:
@@ -89,8 +94,10 @@ struct SupervisedRun : supervise::Status {
 ///
 /// Before the fan-out, the unrefined model's reachable graph is built once
 /// (mc::ReachGraph) under one property's first-attempt budgets; every
-/// property then queries it. A build that trips a budget yields no graph and
-/// each property explores the model on its own, exactly as without one.
+/// property then queries it. One scan of the graph then answers the first
+/// iteration of every applicable never-claim, before the pool starts. A
+/// build that trips a budget yields no graph and each property explores the
+/// model on its own, exactly as without one.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,

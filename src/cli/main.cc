@@ -382,8 +382,13 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
     }
   }
   if (rep.graph_states > 0) {
-    std::fprintf(stderr, "shared graph: %zu states, %zu edges, built in %.2fs\n",
-                 rep.graph_states, rep.graph_edges, rep.graph_build_seconds);
+    std::fprintf(stderr, "shared graph: %zu states, %zu edges, built in %.2fs (%.0f states/s)\n",
+                 rep.graph_states, rep.graph_edges, rep.graph_build_seconds,
+                 rep.graph_build_seconds > 0
+                     ? static_cast<double>(rep.graph_states) / rep.graph_build_seconds
+                     : 0.0);
+    std::fprintf(stderr, "never-claim scan: %zu properties answered in %.3fs\n",
+                 rep.scan_answered, rep.scan_seconds);
   } else if (rep.graph_build_seconds > 0) {
     std::fprintf(stderr,
                  "shared graph: build stopped at a budget after %.2fs; each property"

@@ -287,6 +287,9 @@ std::optional<CounterExample> bfs_search(
 // Model states are interned once by the source; product nodes reference
 // them by id, and the product index is a dense per-state pair of node ids
 // (pending=0/1) — no hashing of state vectors anywhere in the product.
+// Nodes get ids in discovery order and are expanded in id order, so the
+// FIFO frontier is the id sequence itself, and the edges a node's expansion
+// adds among pending nodes are contiguous: they form one flat CSR.
 
 template <typename Source>
 std::optional<CounterExample> response_search(const Model& model, Source& space,
@@ -309,10 +312,10 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
   /// node_of[state_id][pending] — product index without hashing.
   std::vector<std::array<std::uint32_t, 2>> node_of;
   // Edges among pending=true nodes (candidates for the violating cycle):
-  // (target node, command index or kStutter).
-  std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> pending_edges;
-  std::vector<std::uint32_t> frontier;
-  std::size_t head = 0;
+  // (target node, command index or kStutter); node n's edges are
+  // pending_edges[pending_row[n] .. pending_row[n + 1]).
+  std::vector<std::pair<std::uint32_t, std::int32_t>> pending_edges;
+  std::vector<std::size_t> pending_row{0};
 
   auto edge_label = [&](std::int32_t cmd) -> std::string {
     return cmd == kStutter ? "(stutter)" : commands[cmd].label;
@@ -325,9 +328,8 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
     return space.bytes() + nodes.capacity() * sizeof(Node) +
            info.capacity() * sizeof(NodeInfo) +
            node_of.capacity() * sizeof(std::array<std::uint32_t, 2>) +
-           pending_edges.capacity() *
-               sizeof(std::vector<std::pair<std::uint32_t, std::int32_t>>) +
-           frontier.capacity() * sizeof(std::uint32_t);
+           pending_edges.capacity() * sizeof(std::pair<std::uint32_t, std::int32_t>) +
+           pending_row.capacity() * sizeof(std::size_t);
   };
   auto finish_stats = [&] {
     if (stats) {
@@ -355,8 +357,6 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
     slot = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back({sid, pending});
     info.push_back({parent, cmd});
-    pending_edges.emplace_back();
-    frontier.push_back(slot);
     return slot;
   };
 
@@ -366,9 +366,8 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
     add_node(sid, fresh, false, kNoId, -1);
   }
 
-  while (head < frontier.size()) {
+  for (std::uint32_t at = 0; at < nodes.size(); ++at) {
     if (kernel::over_budget(options, timer, current_bytes(), stats)) break;
-    std::uint32_t at = frontier[head++];
     const bool pending = nodes[at].pending;
 
     bool any_successor = false;
@@ -387,14 +386,17 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
                        add_node(sid, fresh, next_pending, at, static_cast<std::int32_t>(j));
                    if (to == kNoId) return;
                    if (pending && next_pending) {
-                     pending_edges[at].push_back({to, static_cast<std::int32_t>(j)});
+                     pending_edges.push_back({to, static_cast<std::int32_t>(j)});
                    }
                  });
     if (!any_successor && pending) {
       // Deadlock with an unanswered trigger: stutter self-loop.
-      pending_edges[at].push_back({at, kStutter});
+      pending_edges.push_back({at, kStutter});
     }
+    pending_row.push_back(pending_edges.size());
   }
+  // Nodes a budget left unexpanded have no edges.
+  pending_row.resize(nodes.size() + 1, pending_edges.size());
 
   // Cycle detection restricted to pending=true nodes (iterative DFS). One
   // root's DFS can cover the whole pending subgraph, so the watchdog is
@@ -408,10 +410,10 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
     if (!nodes[root].pending || color[root] != 0) continue;
     struct Frame {
       std::uint32_t node;
-      std::size_t next_edge = 0;
+      std::size_t next_edge;            // index into pending_edges
       std::int32_t via_cmd = kStutter;  // edge used to reach this node
     };
-    std::vector<Frame> stack{{root, 0, kStutter}};
+    std::vector<Frame> stack{{root, pending_row[root], kStutter}};
     color[root] = 1;
     while (!stack.empty()) {
       if (++steps % kPollSteps == 0 && kernel::interrupted(options, timer, stats)) {
@@ -419,12 +421,12 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
         break;
       }
       Frame& f = stack.back();
-      if (f.next_edge >= pending_edges[f.node].size()) {
+      if (f.next_edge >= pending_row[f.node + 1]) {
         color[f.node] = 2;
         stack.pop_back();
         continue;
       }
-      auto [to, via] = pending_edges[f.node][f.next_edge++];
+      auto [to, via] = pending_edges[f.next_edge++];
       if (color[to] == 1) {
         // Found a cycle: stack from `to` upward + the closing edge.
         CounterExample cex;
@@ -452,7 +454,7 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
       }
       if (color[to] == 0) {
         color[to] = 1;
-        stack.push_back({to, 0, via});
+        stack.push_back({to, pending_row[to], via});
       }
     }
   }

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -64,6 +66,26 @@ struct CheckStats {
 
 /// Edge predicate over (pre-state, command, post-state).
 using EdgePred = std::function<bool(const State&, const Command&, const State&)>;
+
+/// A compiled edge matcher: an edge matches when its command's entry in
+/// `commands` is set and its pre-state holds every (variable, value) pair
+/// of `pre_equals` (a negative variable or value never holds). The catalog's
+/// matchers compile to this form (checker::MetaMatch::compile_match), so the
+/// EdgePred a search calls and ReachGraph::first_hits share one definition.
+struct EdgeMatch {
+  std::vector<std::uint8_t> commands;  // per command index: 1 = may match
+  std::vector<std::pair<int, std::int32_t>> pre_equals;
+
+  bool pre_holds(const std::int32_t* pre) const {
+    for (const auto& [var, value] : pre_equals) {
+      if (var < 0 || value < 0 || pre[var] != value) return false;
+    }
+    return true;
+  }
+  bool matches(const std::int32_t* pre, std::size_t cmd) const {
+    return cmd < commands.size() && commands[cmd] != 0 && pre_holds(pre);
+  }
+};
 
 struct CheckOptions {
   std::size_t max_states = 2'000'000;

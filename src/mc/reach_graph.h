@@ -13,6 +13,14 @@
 // the on-the-fly search step for step, so traces and statistics are
 // identical.
 //
+// The build also keeps its BFS tree: each state's parent and the edge that
+// discovered it. For an unrefined never-claim the search's parent tree
+// does not depend on the property, and the search stops at the first
+// matching edge in CSR order, so first_hits() answers every such claim in
+// one pass over the edges and edge_never_answer() turns a first hit into
+// the walk's trace and counts (DESIGN.md §10 "One scan for unrefined
+// never-claims").
+//
 // The graph is immutable after build() and safe to query from many threads.
 #pragma once
 
@@ -34,6 +42,9 @@ class ReachGraph {
     std::uint32_t cmd;
     std::uint32_t to;
   };
+
+  /// first_hits() for a matcher no edge satisfies.
+  static constexpr std::uint32_t kNoHit = 0xFFFFFFFFu;
 
   /// Explores `model` from its initial state under the budgets of `options`
   /// (max_states, max_seconds, max_visited_bytes, cancel; `allowed` must be
@@ -57,13 +68,36 @@ class ReachGraph {
     return {edges_.data() + offsets_[id], edges_.data() + offsets_[id + 1]};
   }
 
+  /// One pass over the edges in CSR order: for each matcher, the index of
+  /// the first edge it accepts (from the edge's pre-state and command), or
+  /// kNoHit.
+  std::vector<std::uint32_t> first_hits(std::span<const EdgeMatch> matchers) const;
+
+  /// What Checker::check_edge_never returns over this graph, with no
+  /// `allowed` filter and max_states = `cap`, for a predicate whose first
+  /// hit is `hit` (first_hits() output): the same trace, states and edges
+  /// explored and bound_hit, read off the BFS tree instead of walked. A cap
+  /// below states() is the CSR prefix of its first `cap` rows. visited_bytes
+  /// is the BFS-tree entries of the explored states (8 bytes each).
+  std::optional<CounterExample> edge_never_answer(std::uint32_t hit, std::size_t cap,
+                                                  CheckStats* stats) const;
+
  private:
+  /// A state's BFS parent and the index of the edge that discovered it
+  /// (kNoId for the root); ids are discovery order, so `edge` increases
+  /// with the id.
+  struct Discovery {
+    std::uint32_t parent;
+    std::uint32_t edge;
+  };
+
   ReachGraph() = default;
 
   const Model* model_ = nullptr;
   std::vector<std::int32_t> states_;   // states() * var_count() values, id order
   std::vector<std::uint32_t> offsets_;  // states() + 1 CSR row starts
   std::vector<Edge> edges_;
+  std::vector<Discovery> tree_;  // per state, id order
 };
 
 }  // namespace procheck::mc

@@ -412,25 +412,30 @@ TEST(ParallelAnalysis, SubsetDeterminism) {
 }
 
 // Many workers querying one shared reachable graph (the supervisor's fan-out
-// shape): the graph is read-only after build, so concurrent queries must
-// equal the sequential ones. Also run under ThreadSanitizer (`tsan` preset).
+// shape): the graph and the never-claim scan's answers are read-only after
+// the pre-pool scan, so concurrent queries answered from them must equal the
+// sequential graph walks. Also run under ThreadSanitizer (`tsan` preset).
 TEST(SharedGraph, ConcurrentQueriesMatchSequential) {
   const ExtractedModels& m = models_for(ue::StackProfile::cls());
   const threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
   const std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(tm.model);
   ASSERT_TRUE(graph.has_value());
   const std::vector<std::string> ids = {"S01", "S02", "S05", "S20", "P01", "P04"};
-  auto check = [&](const std::string& id) {
+  std::vector<mc::EdgeMatch> matchers;
+  for (const std::string& id : ids) matchers.push_back(property(id).bad.compile_match(tm));
+  const std::vector<std::uint32_t> hits = graph->first_hits(matchers);
+  auto check = [&](std::size_t i, bool scanned) {
     cpv::LteCryptoModel crypto(cpv::LteCryptoModel::Options{});
-    return check_property(tm, m.flat, property(id), crypto, {}, &*graph);
+    return check_property(tm, m.flat, property(ids[i]), crypto, {}, &*graph,
+                          scanned ? std::optional<std::uint32_t>(hits[i]) : std::nullopt);
   };
   ImplementationReport seq, par;
-  for (const std::string& id : ids) seq.results.push_back(check(id));
+  for (std::size_t i = 0; i < ids.size(); ++i) seq.results.push_back(check(i, false));
   par.results.resize(ids.size());
   {
     ThreadPool pool(4);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      pool.submit([&, i] { par.results[i] = check(ids[i]); });
+      pool.submit([&, i] { par.results[i] = check(i, true); });
     }
     pool.wait();
   }

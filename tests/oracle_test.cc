@@ -13,7 +13,13 @@
 // Both paths share one kernel, so the graph itself is checked against a
 // naive reference BFS over Model::successors (Expr::eval guards, std::map
 // visited set) on the random models and on the cls, srsue and oai threat
-// models: same states in the same id order, same successor rows.
+// models: same states in the same id order, same successor rows. The lasso
+// search's verdict is checked against a naive product search as well.
+//
+// The never-claim scan (ReachGraph::first_hits + edge_never_answer) must
+// equal the graph walk it replaces for every unrefined never-claim: on
+// random compiled matchers over the random models and on every catalog
+// never-claim of cls, srsue and oai, uncapped and under binding caps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,11 +153,72 @@ std::string fingerprint(const mc::Model& m, const std::optional<mc::CounterExamp
                     " truncated=" + std::to_string(s.truncated()) + "\n";
   if (!cex) return out + "no counterexample\n";
   out += "loop=" + std::to_string(cex->loop_start) + "\n" + cex->render(m);
+  for (const mc::TraceStep& step : cex->steps) {
+    out += "meta " + std::to_string(static_cast<int>(step.meta.actor)) + "/" +
+           std::to_string(static_cast<int>(step.meta.kind)) + "/" + step.meta.message + "/" +
+           std::to_string(step.meta.provenance) + "\n";
+  }
   return out;
 }
 
+/// Whether G(trigger → F response) fails, by the plainest product search:
+/// (state, pending) nodes keyed in a std::map, one adjacency list per node
+/// for the edges among pending nodes, deadlocks stuttering; a violating
+/// cycle exists iff peeling off pending nodes without a remaining pending
+/// successor leaves some node.
+bool reference_response_violated(const mc::Model& m, const mc::EdgePred& trigger,
+                                 const mc::EdgePred& response, const mc::EdgePred& allowed) {
+  std::map<std::pair<mc::State, bool>, std::size_t> ids;
+  std::vector<std::pair<mc::State, bool>> nodes;
+  std::vector<std::vector<std::size_t>> adj;
+  auto id_of = [&](const mc::State& s, bool pending) {
+    auto [it, fresh] = ids.emplace(std::make_pair(s, pending), nodes.size());
+    if (fresh) {
+      nodes.emplace_back(s, pending);
+      adj.emplace_back();
+    }
+    return it->second;
+  };
+  id_of(m.initial(), false);
+  for (std::size_t at = 0; at < nodes.size(); ++at) {
+    const auto [pre, pending] = nodes[at];  // id_of may reallocate nodes
+    bool any = false;
+    m.successors(pre, [&](const mc::State& next, const mc::Command& cmd) {
+      if (allowed && !allowed(pre, cmd, next)) return;
+      any = true;
+      const bool next_pending = (pending || trigger(pre, cmd, next)) && !response(pre, cmd, next);
+      const std::size_t to = id_of(next, next_pending);
+      if (pending && next_pending) adj[at].push_back(to);
+    });
+    if (!any && pending) adj[at].push_back(at);
+  }
+  std::vector<std::size_t> out_degree(nodes.size());
+  std::vector<std::vector<std::size_t>> preds(nodes.size());
+  std::vector<std::size_t> peel;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    out_degree[n] = adj[n].size();
+    for (std::size_t to : adj[n]) preds[to].push_back(n);
+    if (out_degree[n] == 0) peel.push_back(n);
+  }
+  std::size_t peeled = 0;
+  while (!peel.empty()) {
+    const std::size_t n = peel.back();
+    peel.pop_back();
+    ++peeled;
+    for (std::size_t p : preds[n]) {
+      if (--out_degree[p] == 0) peel.push_back(p);
+    }
+  }
+  return peeled < nodes.size();
+}
+
+/// The state a lasso's loop returns to: the one before the loop's first step.
+mc::State loop_entry(const mc::Model& m, const mc::CounterExample& cex) {
+  return cex.loop_start == 0 ? m.initial() : cex.steps[cex.loop_start - 1].post;
+}
+
 TEST(Oracle, RandomModelsGraphWalkMatchesLiveSearch) {
-  std::size_t cexs = 0, capped = 0, lassos = 0;
+  std::size_t cexs = 0, capped = 0, lassos = 0, referenced = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const RandomCase rc = random_case(seed);
     std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model);
@@ -182,6 +249,17 @@ TEST(Oracle, RandomModelsGraphWalkMatchesLiveSearch) {
               << "response " << where;
           lassos += x.has_value();
           capped += a.bound_hit;
+          // The pending-edge CSR must find a cycle exactly when the naive
+          // product has one, and the loop must close on its entry state.
+          if (!a.truncated()) {
+            EXPECT_EQ(x.has_value(), reference_response_violated(rc.model, rc.trigger,
+                                                                  rc.response, opts.allowed))
+                << "response reference " << where;
+            ++referenced;
+          }
+          if (x && !x->steps.empty()) {
+            EXPECT_EQ(x->steps.back().post, loop_entry(rc.model, *x)) << "lasso " << where;
+          }
         }
         {
           mc::CheckStats a, b;
@@ -197,6 +275,7 @@ TEST(Oracle, RandomModelsGraphWalkMatchesLiveSearch) {
   EXPECT_GT(cexs, 100u);
   EXPECT_GT(lassos, 100u);
   EXPECT_GT(capped, 100u);
+  EXPECT_GT(referenced, 500u);
 }
 
 TEST(Oracle, TruncatedBuildYieldsNoGraph) {
@@ -357,13 +436,33 @@ TEST(Oracle, ThreatModelGraphsEqualReferenceBfs) {
 struct Paths {
   PropertyResult per_property;
   PropertyResult graph;
+  PropertyResult scanned;  // the graph path with the never-claim scan's answers
 };
 
-/// Runs every (property, max_states) pair through check_property twice —
-/// without and with the shared graph — on four workers (the reference path
-/// is the slow one; each task owns its verifier).
+/// The never-claim scan as the supervisor runs it: one first_hits() pass
+/// over the graph for every kEdgeNever property of `props`.
+std::vector<std::optional<std::uint32_t>> scan(const Pipeline& p,
+                                               const std::vector<const PropertyDef*>& props) {
+  std::vector<std::size_t> owner;
+  std::vector<mc::EdgeMatch> matchers;
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    if (props[i]->kind != PropertyDef::Kind::kEdgeNever) continue;
+    owner.push_back(i);
+    matchers.push_back(props[i]->bad.compile_match(p.tm));
+  }
+  const std::vector<std::uint32_t> hits = p.graph->first_hits(matchers);
+  std::vector<std::optional<std::uint32_t>> out(props.size());
+  for (std::size_t k = 0; k < owner.size(); ++k) out[owner[k]] = hits[k];
+  return out;
+}
+
+/// Runs every (property, max_states) pair through check_property three
+/// times — without the shared graph, walking it, and with the scan's
+/// answers — on four workers (the reference path is the slow one; each task
+/// owns its verifier).
 std::vector<Paths> run_both_paths(const Pipeline& p, const std::vector<const PropertyDef*>& props,
                                   const std::vector<std::size_t>& caps) {
+  const std::vector<std::optional<std::uint32_t>> hits = scan(p, props);
   std::vector<Paths> out(props.size() * caps.size());
   ThreadPool pool(4);
   for (std::size_t i = 0; i < props.size(); ++i) {
@@ -375,6 +474,8 @@ std::vector<Paths> run_both_paths(const Pipeline& p, const std::vector<const Pro
         Paths& slot = out[i * caps.size() + c];
         slot.per_property = checker::check_property(p.tm, p.flat, *props[i], crypto, opts);
         slot.graph = checker::check_property(p.tm, p.flat, *props[i], crypto, opts, &*p.graph);
+        slot.scanned =
+            checker::check_property(p.tm, p.flat, *props[i], crypto, opts, &*p.graph, hits[i]);
       });
     }
   }
@@ -391,13 +492,15 @@ std::string encoded(const PropertyResult& r) {
 void expect_paths_equal(const std::vector<Paths>& all, const std::string& profile) {
   for (const Paths& p : all) {
     const PropertyResult& a = p.per_property;
-    const PropertyResult& b = p.graph;
-    const std::string where = profile + "/" + a.property_id;
-    EXPECT_EQ(encoded(a), encoded(b)) << where;
-    EXPECT_EQ(a.total_states, b.total_states) << where;
-    EXPECT_EQ(a.last_stats.states_explored, b.last_stats.states_explored) << where;
-    EXPECT_EQ(a.last_stats.edges_explored, b.last_stats.edges_explored) << where;
-    EXPECT_EQ(a.last_stats.bound_hit, b.last_stats.bound_hit) << where;
+    for (const PropertyResult* b : {&p.graph, &p.scanned}) {
+      const std::string where =
+          profile + "/" + a.property_id + (b == &p.scanned ? " (scanned)" : " (walked)");
+      EXPECT_EQ(encoded(a), encoded(*b)) << where;
+      EXPECT_EQ(a.total_states, b->total_states) << where;
+      EXPECT_EQ(a.last_stats.states_explored, b->last_stats.states_explored) << where;
+      EXPECT_EQ(a.last_stats.edges_explored, b->last_stats.edges_explored) << where;
+      EXPECT_EQ(a.last_stats.bound_hit, b->last_stats.bound_hit) << where;
+    }
   }
 }
 
@@ -448,6 +551,108 @@ TEST(Oracle, BindingStateCapsMatch) {
     expect_paths_equal(run_both_paths(pipeline(profile), select(kSelection), {300, 5000}),
                        profile.name);
   }
+}
+
+// --- The never-claim scan ------------------------------------------------------
+
+/// A random compiled matcher: a random command row plus up to two random
+/// pre-state pairs (now and then one that names no value, which never holds).
+mc::EdgeMatch random_match(Rng& rng, const mc::Model& m) {
+  mc::EdgeMatch match;
+  const auto density = 5 + rng.next_below(40);
+  for (std::size_t j = 0; j < m.commands().size(); ++j) {
+    match.commands.push_back(rng.next_below(100) < density ? 1 : 0);
+  }
+  const auto pairs = rng.next_below(3);
+  for (std::uint64_t k = 0; k < pairs; ++k) {
+    const int var = static_cast<int>(rng.next_below(m.var_count()));
+    const auto value = rng.next_below(16) == 0
+                           ? std::int32_t{-1}
+                           : static_cast<std::int32_t>(rng.next_below(m.domain(var)));
+    match.pre_equals.emplace_back(var, value);
+  }
+  return match;
+}
+
+/// The per-search form of a compiled matcher.
+mc::EdgePred as_pred(const mc::EdgeMatch& match) {
+  return [&match](const mc::State& pre, const mc::Command& cmd, const mc::State&) {
+    return match.matches(pre.data(), static_cast<std::size_t>(cmd.index));
+  };
+}
+
+TEST(Oracle, ScanMatchesGraphWalk) {
+  std::size_t hits = 0, misses = 0, capped = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const RandomCase rc = random_case(seed);
+    std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model);
+    ASSERT_TRUE(graph.has_value()) << "seed " << seed;
+    const mc::Checker walk(rc.model, &*graph);
+    Rng rng(seed * 7919 + 17);
+    std::vector<mc::EdgeMatch> matchers;
+    for (int k = 0; k < 6; ++k) matchers.push_back(random_match(rng, rc.model));
+    const std::vector<std::uint32_t> first = graph->first_hits(matchers);
+    for (std::size_t k = 0; k < matchers.size(); ++k) {
+      for (std::size_t cap : {0, 1, 2, 3, 5, 9, 1'000'000}) {
+        mc::CheckOptions opts;
+        opts.max_states = cap;
+        mc::CheckStats a, b;
+        auto x = walk.check_edge_never(as_pred(matchers[k]), &a, opts);
+        auto y = graph->edge_never_answer(first[k], cap, &b);
+        EXPECT_EQ(fingerprint(rc.model, x, a), fingerprint(rc.model, y, b))
+            << "seed " << seed << " matcher " << k << " cap " << cap;
+        hits += x.has_value();
+        misses += !x.has_value() && !a.truncated();
+        capped += a.bound_hit;
+      }
+    }
+  }
+  // The generator must reach every outcome the scan derives.
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(misses, 300u);
+  EXPECT_GT(capped, 500u);
+
+  std::size_t claims = 0;
+  for (const ue::StackProfile& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const Pipeline& p = pipeline(profile);
+    ASSERT_TRUE(p.graph.has_value()) << profile.name;
+    std::vector<const PropertyDef*> never;
+    std::vector<mc::EdgeMatch> matchers;
+    for (const PropertyDef& prop : checker::property_catalog()) {
+      if (prop.kind != PropertyDef::Kind::kEdgeNever) continue;
+      never.push_back(&prop);
+      matchers.push_back(prop.bad.compile_match(p.tm));
+    }
+    const std::vector<std::uint32_t> first = p.graph->first_hits(matchers);
+    const std::vector<std::size_t> caps = {1'000'000, 5000, 300};
+    std::vector<std::string> walked(never.size() * caps.size());
+    std::vector<std::string> answered(walked.size());
+    {
+      ThreadPool pool(4);
+      for (std::size_t i = 0; i < never.size(); ++i) {
+        for (std::size_t c = 0; c < caps.size(); ++c) {
+          pool.submit([&, i, c] {
+            mc::CheckOptions opts;
+            opts.max_states = caps[c];
+            mc::CheckStats a, b;
+            const mc::Checker walk(p.tm.model, &*p.graph);
+            auto x = walk.check_edge_never(never[i]->bad.compile(p.tm), &a, opts);
+            auto y = p.graph->edge_never_answer(first[i], caps[c], &b);
+            walked[i * caps.size() + c] = fingerprint(p.tm.model, x, a);
+            answered[i * caps.size() + c] = fingerprint(p.tm.model, y, b);
+          });
+        }
+      }
+      pool.wait();
+    }
+    for (std::size_t n = 0; n < walked.size(); ++n) {
+      EXPECT_EQ(walked[n], answered[n]) << profile.name << "/" << never[n / caps.size()]->id
+                                        << " cap " << caps[n % caps.size()];
+    }
+    claims += never.size();
+  }
+  EXPECT_EQ(claims, 3u * 55u);
 }
 
 }  // namespace

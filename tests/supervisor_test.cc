@@ -348,6 +348,10 @@ TEST(SupervisorGraph, CleanRunChecksEveryPropertyAgainstOneGraph) {
   EXPECT_EQ(run.graph_states, graph->states());
   EXPECT_EQ(run.graph_edges, graph->edges());
   EXPECT_GT(run.graph_build_seconds, 0.0);
+  // One scan answered the never-claims S01 and S05; P04 is not applicable
+  // on cls.
+  EXPECT_EQ(run.scan_answered, 2u);
+  EXPECT_GT(run.scan_seconds, 0.0);
 }
 
 /// The outcome a graph-free, single-attempt supervisor run produces.
@@ -368,6 +372,7 @@ TEST(SupervisorGraph, TrippedBuildFallsBackToPerPropertyPath) {
     opts.deadline_per_property = 1e-9;
     SupervisedRun run = run_sup(sel, opts, {});
     EXPECT_EQ(run.graph_states, 0u);
+    EXPECT_EQ(run.scan_answered, 0u);
     CegarOptions ref;
     ref.max_seconds = 1e-9;
     EXPECT_EQ(encode_outcome(run.outcomes[0]),
