@@ -7,6 +7,10 @@
 
 namespace procheck::checker {
 
+namespace {
+
+/// Applicability: every atom in requires_atoms must appear somewhere in the
+/// UE FSM's condition or action vocabulary.
 bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   for (const std::string& atom : prop.requires_atoms) {
     if (ue_fsm.conditions().count(atom) == 0 && ue_fsm.actions().count(atom) == 0) {
@@ -15,6 +19,8 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   }
   return true;
 }
+
+}  // namespace
 
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,

@@ -84,8 +84,4 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
                               const mc::ReachGraph* graph = nullptr,
                               std::optional<std::uint32_t> first_hit = std::nullopt);
 
-/// Applicability: every atom in prop.requires_atoms appears in the UE FSM's
-/// condition or action vocabulary (else the property is "not applicable").
-bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm);
-
 }  // namespace procheck::checker

@@ -319,8 +319,9 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   }
   const mc::ReachGraph* shared = graph ? &*graph : nullptr;
 
-  // One scan of the graph answers every applicable never-claim's first
-  // iteration; the answers are read-only from here on.
+  // One scan of the graph answers every never-claim's first iteration (a
+  // property that is not applicable returns before it reads its answer);
+  // the answers are read-only from here on.
   std::vector<std::optional<std::uint32_t>> first_hit(selected.size());
   if (shared) {
     const auto start = std::chrono::steady_clock::now();
@@ -328,7 +329,6 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
     std::vector<mc::EdgeMatch> matchers;
     for (std::size_t i : work) {
       if (selected[i]->kind != PropertyDef::Kind::kEdgeNever) continue;
-      if (!applicable(*selected[i], ue_fsm)) continue;
       owner.push_back(i);
       matchers.push_back(selected[i]->bad.compile_match(tm));
     }

@@ -81,8 +81,8 @@ struct SupervisedRun : supervise::Status {
   std::size_t graph_edges = 0;
   double graph_build_seconds = 0;
   /// The never-claim scan over the graph (ReachGraph::first_hits): the
-  /// applicable kEdgeNever properties whose first CEGAR iteration it
-  /// answered, and the seconds it took (0 / 0 without a graph).
+  /// kEdgeNever properties it scanned (their first CEGAR iteration is read
+  /// off the scan), and the seconds it took (0 / 0 without a graph).
   std::size_t scan_answered = 0;
   double scan_seconds = 0;
 };
@@ -95,7 +95,7 @@ struct SupervisedRun : supervise::Status {
 /// Before the fan-out, the unrefined model's reachable graph is built once
 /// (mc::ReachGraph) under one property's first-attempt budgets; every
 /// property then queries it. One scan of the graph then answers the first
-/// iteration of every applicable never-claim, before the pool starts. A
+/// iteration of every never-claim, before the pool starts. A
 /// build that trips a budget yields no graph and each property explores the
 /// model on its own, exactly as without one.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,

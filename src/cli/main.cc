@@ -387,7 +387,7 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
                  rep.graph_build_seconds > 0
                      ? static_cast<double>(rep.graph_states) / rep.graph_build_seconds
                      : 0.0);
-    std::fprintf(stderr, "never-claim scan: %zu properties answered in %.3fs\n",
+    std::fprintf(stderr, "never-claim scan: %zu never-claims scanned in %.3fs\n",
                  rep.scan_answered, rep.scan_seconds);
   } else if (rep.graph_build_seconds > 0) {
     std::fprintf(stderr,

@@ -348,9 +348,9 @@ TEST(SupervisorGraph, CleanRunChecksEveryPropertyAgainstOneGraph) {
   EXPECT_EQ(run.graph_states, graph->states());
   EXPECT_EQ(run.graph_edges, graph->edges());
   EXPECT_GT(run.graph_build_seconds, 0.0);
-  // One scan answered the never-claims S01 and S05; P04 is not applicable
-  // on cls.
-  EXPECT_EQ(run.scan_answered, 2u);
+  // One scan covered the never-claims S01, S05 and P04 (P04 is not
+  // applicable on cls and returns before it reads its answer).
+  EXPECT_EQ(run.scan_answered, 3u);
   EXPECT_GT(run.scan_seconds, 0.0);
 }
 
