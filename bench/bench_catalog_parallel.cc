@@ -7,6 +7,10 @@
 // interned once for all of them (before the shared graph, every search
 // interned its own `states`), and `scan_answered` / `scan_seconds` the
 // never-claims whose first iteration one scan of the graph answered.
+// `walk_seconds` sums the properties' search time (PropertyResult::
+// total_seconds) and splits out the two parts that still walk the graph:
+// never-claims refined past their scanned first iteration, and the
+// response (liveness) properties.
 //
 //   bench_catalog_parallel [--profile <cls|srsue|oai>] [--write-json <path>]
 //                          [--supervised]
@@ -28,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +56,9 @@ struct RunSample {
   double graph_build_seconds = 0;
   std::size_t scan_answered = 0;
   double scan_seconds = 0;
+  double walk_seconds = 0;
+  double walk_refined_never_seconds = 0;
+  double walk_response_seconds = 0;
   int verified = 0;
   int attacks = 0;
 };
@@ -92,9 +100,17 @@ RunSample run_catalog(const ue::StackProfile& profile, int jobs, std::string* pr
   s.graph_build_seconds = rep.graph_build_seconds;
   s.scan_answered = rep.scan_answered;
   s.scan_seconds = rep.scan_seconds;
+  std::map<std::string, checker::PropertyDef::Kind> kind;
+  for (const checker::PropertyDef& p : checker::property_catalog()) kind[p.id] = p.kind;
   for (const checker::PropertyResult& r : rep.results) {
     s.states += r.total_states;
     s.peak_visited_bytes = std::max(s.peak_visited_bytes, r.peak_visited_bytes);
+    s.walk_seconds += r.total_seconds;
+    if (kind[r.property_id] == checker::PropertyDef::Kind::kResponse) {
+      s.walk_response_seconds += r.total_seconds;
+    } else if (r.iterations > 1) {
+      s.walk_refined_never_seconds += r.total_seconds;
+    }
   }
   *print = fingerprint(rep);
   return s;
@@ -141,11 +157,13 @@ void write_json(const std::string& path, const std::string& profile,
                  " \"states_per_sec\": %.0f, \"peak_visited_bytes\": %zu,"
                  " \"graph_states\": %zu, \"graph_build_seconds\": %.3f,"
                  " \"scan_answered\": %zu, \"scan_seconds\": %.4f,"
-                 " \"verified\": %d, \"attacks\": %d}%s\n",
+                 " \"walk_seconds\": {\"all\": %.3f, \"refined_never\": %.3f,"
+                 " \"response\": %.3f}, \"verified\": %d, \"attacks\": %d}%s\n",
                  s.jobs, s.wall_seconds, s.states,
                  s.wall_seconds > 0 ? static_cast<double>(s.states) / s.wall_seconds : 0.0,
                  s.peak_visited_bytes, s.graph_states, s.graph_build_seconds, s.scan_answered,
-                 s.scan_seconds, s.verified, s.attacks,
+                 s.scan_seconds, s.walk_seconds, s.walk_refined_never_seconds,
+                 s.walk_response_seconds, s.verified, s.attacks,
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -211,11 +229,13 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "jobs=%d: %.2fs wall, %zu states (%.0f states/sec), peak visited %.1f MiB,"
-        " graph %zu states built in %.2fs, scan answered %zu never-claims in %.4fs\n",
+        " graph %zu states built in %.2fs, scan answered %zu never-claims in %.4fs,"
+        " walks %.3fs (refined never-claims %.3fs, response %.3fs)\n",
         s.jobs, s.wall_seconds, s.states,
         s.wall_seconds > 0 ? static_cast<double>(s.states) / s.wall_seconds : 0.0,
         static_cast<double>(s.peak_visited_bytes) / (1024.0 * 1024.0), s.graph_states,
-        s.graph_build_seconds, s.scan_answered, s.scan_seconds);
+        s.graph_build_seconds, s.scan_answered, s.scan_seconds, s.walk_seconds,
+        s.walk_refined_never_seconds, s.walk_response_seconds);
     std::fflush(stdout);
     runs.push_back(s);
   }

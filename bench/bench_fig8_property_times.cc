@@ -4,10 +4,22 @@
 // (LTE^μ). The paper's claim (RQ3): the richer extracted model verifies
 // with time "only a fraction higher" than the hand-built one — i.e. the
 // automatic extraction does not break COTS model-checker scalability.
+//
+// Both models are the flat (`chain_substates = false`) machines the checker
+// analyzes; RQ2's sizes come from the rich extraction, which keeps the
+// substates and so has more states and transitions.
+//
+//   bench_fig8_property_times [--write-json [path]] [benchmark flags]
+//
+// --write-json writes the figure (default BENCH_fig8.json) with the host's
+// CPU model and hardware concurrency.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "checker/baseline.h"
@@ -15,6 +27,7 @@
 #include "checker/prochecker.h"
 #include "checker/property.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "extractor/extractor.h"
 #include "testing/conformance.h"
 
@@ -124,12 +137,73 @@ void print_fig8() {
               models().lte.stats().states, models().lte.stats().transitions);
 }
 
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
+void write_json(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  const fsm::Fsm::Stats pro = models().pro.stats();
+  const fsm::Fsm::Stats lte = models().lte.stats();
+  std::fprintf(f, "{\n  \"benchmark\": \"fig8_property_times\",\n");
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "  \"hardware_concurrency\": %zu,\n", ThreadPool::default_parallelism());
+  std::fprintf(f,
+               "  \"models\": {\"pro\": {\"states\": %zu, \"transitions\": %zu},"
+               " \"lte\": {\"states\": %zu, \"transitions\": %zu}},\n",
+               pro.states, pro.transitions, lte.states, lte.transitions);
+  std::fprintf(f, "  \"properties\": [\n");
+  double total_pro = 0;
+  double total_lte = 0;
+  const std::vector<const PropertyDef*> common = checker::common_properties();
+  for (std::size_t i = 0; i < common.size(); ++i) {
+    const Timing& t = timings()[common[i]->id];
+    total_pro += t.pro_seconds;
+    total_lte += t.lte_seconds;
+    std::fprintf(f,
+                 "    {\"id\": \"%s\", \"pro_seconds\": %.4f, \"lte_seconds\": %.4f,"
+                 " \"pro_states\": %zu, \"lte_states\": %zu}%s\n",
+                 common[i]->id.c_str(), t.pro_seconds, t.lte_seconds, t.pro_states,
+                 t.lte_states, i + 1 < common.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"total_pro_seconds\": %.3f,\n  \"total_lte_seconds\": %.3f,\n"
+               "  \"ratio_pro_vs_lte\": %.2f\n}\n",
+               total_pro, total_lte, total_lte > 0 ? total_pro / total_lte : 0.0);
+  std::fclose(f);
+  std::printf("wrote %s\n", path.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  // Takes --write-json out of argv before Google Benchmark reads its flags.
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--write-json") == 0) {
+      json_path = (i + 1 < argc && argv[i + 1][0] != '-') ? argv[++i] : "BENCH_fig8.json";
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
   register_benchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_fig8();
+  if (!json_path.empty()) write_json(json_path);
   return 0;
 }

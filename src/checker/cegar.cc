@@ -38,18 +38,17 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
 
   mc::Checker checker(tm.model, graph);
   std::set<std::string> banned;
-  // Indexed view of `banned` for the hot path: the allowed-filter then costs
-  // one byte load per edge instead of a string-set lookup.
-  std::vector<std::uint8_t> allowed_cmd(tm.model.commands().size(), 1);
+  // Per command index, whether its label is in `banned`: the search's ban.
+  std::vector<std::uint8_t> banned_cmd(tm.model.commands().size(), 0);
 
-  mc::EdgePred bad, trigger, response;
+  mc::EdgeMatch bad, trigger, response;
   const bool never = prop.kind == PropertyDef::Kind::kEdgeNever;
   if (!graph || !never) first_hit.reset();
   if (never) {
-    bad = prop.bad.compile(tm);
+    bad = prop.bad.compile_match(tm);
   } else {
-    trigger = prop.trigger.compile(tm);
-    response = prop.response.compile(tm);
+    trigger = prop.trigger.compile_match(tm);
+    response = prop.response.compile_match(tm);
   }
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -73,15 +72,7 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
       }
       mc_options.max_seconds = remaining;
     }
-    if (!banned.empty()) {
-      mc_options.allowed = [&allowed_cmd, &banned](const mc::State&, const mc::Command& cmd,
-                                                   const mc::State&) {
-        if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < allowed_cmd.size()) {
-          return allowed_cmd[cmd.index] != 0;
-        }
-        return banned.count(cmd.label) == 0;
-      };
-    }
+    if (!banned.empty()) mc_options.banned = banned_cmd;
 
     mc::CheckStats stats;
     std::optional<mc::CounterExample> cex;
@@ -131,7 +122,7 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
         result.refinements.push_back("banned " + label + ": " + reason);
       }
       for (const mc::Command& cmd : tm.model.commands()) {
-        if (banned.count(cmd.label) > 0) allowed_cmd[cmd.index] = 0;
+        if (banned.count(cmd.label) > 0) banned_cmd[cmd.index] = 1;
       }
       continue;  // spurious counterexample ruled out; re-verify
     }

@@ -1,7 +1,7 @@
 #include "checker/property.h"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 namespace procheck::checker {
 
@@ -70,16 +70,6 @@ mc::EdgeMatch MetaMatch::compile_match(const threat::ThreatModel& tm) const {
     m.commands.push_back(matches_meta(cmd.meta) ? 1 : 0);
   }
   return m;
-}
-
-mc::EdgePred MetaMatch::compile(const threat::ThreatModel& tm) const {
-  auto m = std::make_shared<const mc::EdgeMatch>(compile_match(tm));
-  return [self = *this, m](const mc::State& before, const mc::Command& cmd, const mc::State&) {
-    if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < m->commands.size()) {
-      return m->matches(before.data(), static_cast<std::size_t>(cmd.index));
-    }
-    return self.matches_meta(cmd.meta) && m->pre_holds(before.data());
-  };
 }
 
 namespace {

@@ -32,7 +32,7 @@ namespace procheck::checker {
 /// Declarative matcher over a command's metadata plus optional pre-state
 /// variable constraints; compiled against a ThreatModel to an mc::EdgeMatch
 /// (a per-command match row plus resolved pre-state pairs), which both the
-/// mc::EdgePred and the shared graph's never-claim scan evaluate.
+/// checker's searches and the shared graph's never-claim scan evaluate.
 struct MetaMatch {
   std::optional<mc::CommandMeta::Actor> actor;
   std::optional<mc::CommandMeta::Kind> kind;
@@ -53,9 +53,6 @@ struct MetaMatch {
   /// The metadata half decided once per command of tm.model, and each
   /// pre_equals name resolved to (variable, value) indices (-1 unresolved).
   mc::EdgeMatch compile_match(const threat::ThreatModel& tm) const;
-  /// compile_match() as an edge predicate; a command outside tm.model is
-  /// matched on its metadata directly.
-  mc::EdgePred compile(const threat::ThreatModel& tm) const;
 };
 
 struct PropertyDef {

@@ -97,8 +97,9 @@ class LiveSource {
     return space_.intern(model_.initial(), cap, fresh);
   }
 
-  /// Calls fn(command index, pre, post, successor token) for every enabled
-  /// command of state `id`; the token is what visit() takes.
+  /// Calls fn(command index, pre row, post row, successor token) for every
+  /// enabled command of state `id`; the token is what visit() takes. The
+  /// rows hold var_count() values and are valid only during the call.
   template <typename Fn>
   void expand(std::uint32_t id, Fn&& fn) {
     // A local copy: the arena may reallocate on insert.
@@ -108,7 +109,7 @@ class LiveSource {
     kernel::for_enabled(enabled_, [&](std::size_t j) {
       next_ = pre_;
       kernel::apply_command(commands[j], pre_, next_);
-      fn(j, pre_, next_, j);
+      fn(j, pre_.data(), next_.data(), j);
     });
   }
 
@@ -133,23 +134,17 @@ class LiveSource {
 class GraphSource {
  public:
   explicit GraphSource(const ReachGraph& graph)
-      : graph_(graph),
-        stride_(graph.model().var_count()),
-        local_of_(graph.states(), kNoId),
-        pre_(stride_, 0),
-        next_(stride_, 0) {}
+      : graph_(graph), stride_(graph.model().var_count()), local_of_(graph.states(), kNoId) {}
 
   std::uint32_t visit_root(std::size_t cap, bool* fresh) { return visit(0, cap, fresh); }
 
+  /// The rows are the graph's own: nothing is copied per edge.
   template <typename Fn>
   void expand(std::uint32_t id, Fn&& fn) {
     const std::uint32_t at = graph_of_[id];
-    const std::int32_t* p = graph_.state_data(at);
-    pre_.assign(p, p + stride_);
+    const std::int32_t* pre = graph_.state_data(at);
     for (const ReachGraph::Edge& e : graph_.successors(at)) {
-      const std::int32_t* q = graph_.state_data(e.to);
-      next_.assign(q, q + stride_);
-      fn(e.cmd, pre_, next_, e.to);
+      fn(e.cmd, pre, graph_.state_data(e.to), e.to);
     }
   }
 
@@ -177,23 +172,89 @@ class GraphSource {
   std::size_t stride_;
   std::vector<std::uint32_t> local_of_;  // graph id -> search id (kNoId: unseen)
   std::vector<std::uint32_t> graph_of_;  // search id -> graph id
-  State pre_, next_;
 };
+
+// --- Edge tests ------------------------------------------------------------
+//
+// A search tests each edge on the (command index, pre row, post row) its
+// source hands out. CEGAR's predicates are EdgeMatches and its ban a command
+// mask, so on its path an edge costs a mask byte, a command-row byte and the
+// pre_equals compares, all in place. An EdgePred (state-dependent test
+// predicates and bans) goes through PredRows, which copies the rows into
+// States for it. Either way the search itself, and so every trace and
+// count, is the same.
+
+/// An EdgeMatch as an edge test.
+struct MatchRows {
+  const EdgeMatch& match;
+  bool operator()(std::size_t cmd, const std::int32_t* pre, const std::int32_t*) const {
+    return match.matches(pre, cmd);
+  }
+};
+
+/// An EdgePred as an edge test: materializes the pre and post states for it.
+class PredRows {
+ public:
+  PredRows(const Model& model, const EdgePred& pred)
+      : commands_(model.commands()), pred_(pred), stride_(model.var_count()) {}
+
+  bool operator()(std::size_t cmd, const std::int32_t* pre, const std::int32_t* post) const {
+    pre_.assign(pre, pre + stride_);
+    post_.assign(post, post + stride_);
+    return pred_(pre_, commands_[cmd], post_);
+  }
+
+ private:
+  const std::vector<Command>& commands_;
+  const EdgePred& pred_;
+  std::size_t stride_;
+  mutable State pre_, post_;  // scratch: a search owns its tests
+};
+
+/// The refinement filter: true for an edge that CheckOptions::banned (by
+/// command) or, when one is set, CheckOptions::allowed prunes.
+class Ban {
+ public:
+  Ban(const Model& model, const CheckOptions& options)
+      : mask_(options.banned.data()), size_(options.banned.size()) {
+    if (options.allowed) allowed_.emplace(model, options.allowed);
+  }
+
+  bool operator()(std::size_t cmd, const std::int32_t* pre, const std::int32_t* post) const {
+    if (cmd < size_ && mask_[cmd] != 0) return true;
+    return allowed_ && !(*allowed_)(cmd, pre, post);
+  }
+
+ private:
+  const std::uint8_t* mask_;
+  std::size_t size_;
+  std::optional<PredRows> allowed_;
+};
+
+/// kernel::over_budget, taking the search's byte count only when a memory
+/// ceiling is set: the count reads every bookkeeping vector, and the check
+/// runs once per dequeued state.
+template <typename Bytes>
+bool over_budget(const CheckOptions& options, const kernel::Timer& timer, const Bytes& bytes,
+                 CheckStats* stats) {
+  return kernel::over_budget(options, timer, options.max_visited_bytes > 0 ? bytes() : 0, stats);
+}
 
 // --- Safety --------------------------------------------------------------
 
-/// Shared BFS core: explores until `stop(pre, cmd, post)` says the offending
-/// edge was found (post may equal pre for state-violations encoded as edge
-/// checks on arrival).
+/// Shared BFS core: explores until `bad_edge(cmd, pre, post)` accepts an
+/// allowed edge, or `bad_state` (invariants only) a newly reached state.
 ///
 /// Per-node bookkeeping is two ints (BFS parent + incoming command index);
 /// the trace's labels/metadata are copied out of the model's commands only
 /// when a counterexample is actually reconstructed, never per visited state.
-template <typename Source>
+template <typename Source, typename BadEdge>
 std::optional<CounterExample> bfs_search(
     const Model& model, Source& space, const CheckOptions& options, CheckStats* stats,
-    const std::function<bool(const State&)>& bad_state, const EdgePred* bad_edge) {
+    const BadEdge& bad_edge, const std::function<bool(const std::int32_t*)>& bad_state = {}) {
   kernel::Timer timer;
+  const Ban banned(model, options);
+  const std::size_t stride = model.var_count();
   struct NodeInfo {
     std::uint32_t parent = kNoId;
     std::int32_t cmd = -1;  // index into model.commands(); -1 for the root
@@ -220,9 +281,11 @@ std::optional<CounterExample> bfs_search(
     return space.bytes() + info.capacity() * sizeof(NodeInfo) +
            frontier.capacity() * sizeof(std::uint32_t);
   };
+  std::size_t edges = 0;
   auto finish_stats = [&] {
     if (stats) {
       stats->states_explored = space.size();
+      stats->edges_explored += edges;
       stats->visited_bytes = current_bytes();
       stats->seconds = timer.seconds();
     }
@@ -238,22 +301,22 @@ std::optional<CounterExample> bfs_search(
   info.push_back({});
   frontier.push_back(0);
 
-  if (bad_state && bad_state(model.initial())) {
+  if (bad_state && bad_state(model.initial().data())) {
     finish_stats();
     return CounterExample{};
   }
 
   std::optional<CounterExample> result;
   while (head < frontier.size() && !result) {
-    if (kernel::over_budget(options, timer, current_bytes(), stats)) break;
+    if (over_budget(options, timer, current_bytes, stats)) break;
     std::uint32_t at = frontier[head++];
-    space.expand(at, [&](std::size_t j, const State& pre, const State& next, auto succ) {
-      if (result) return;
-      const Command& cmd = commands[j];
-      if (options.allowed && !options.allowed(pre, cmd, next)) return;
-      if (stats) ++stats->edges_explored;
-      if (bad_edge && (*bad_edge)(pre, cmd, next)) {
-        result = build_trace(at, TraceStep{cmd.label, cmd.meta, next});
+    space.expand(at, [&](std::size_t j, const std::int32_t* pre, const std::int32_t* next,
+                         auto succ) {
+      if (result || banned(j, pre, next)) return;
+      ++edges;
+      if (bad_edge(j, pre, next)) {
+        const Command& cmd = commands[j];
+        result = build_trace(at, TraceStep{cmd.label, cmd.meta, State(next, next + stride)});
         return;
       }
       bool fresh = false;
@@ -291,11 +354,12 @@ std::optional<CounterExample> bfs_search(
 // FIFO frontier is the id sequence itself, and the edges a node's expansion
 // adds among pending nodes are contiguous: they form one flat CSR.
 
-template <typename Source>
+template <typename Source, typename Trigger, typename Response>
 std::optional<CounterExample> response_search(const Model& model, Source& space,
-                                              const EdgePred& trigger, const EdgePred& response,
+                                              const Trigger& trigger, const Response& response,
                                               CheckStats* stats, const CheckOptions& options) {
   kernel::Timer timer;
+  const Ban banned(model, options);
   constexpr std::int32_t kStutter = -1;
   struct Node {
     std::uint32_t state;
@@ -331,9 +395,11 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
            pending_edges.capacity() * sizeof(std::pair<std::uint32_t, std::int32_t>) +
            pending_row.capacity() * sizeof(std::size_t);
   };
+  std::size_t edges = 0;
   auto finish_stats = [&] {
     if (stats) {
       stats->states_explored = nodes.size();
+      stats->edges_explored += edges;
       stats->visited_bytes = current_bytes();
       stats->seconds = timer.seconds();
     }
@@ -367,18 +433,17 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
   }
 
   for (std::uint32_t at = 0; at < nodes.size(); ++at) {
-    if (kernel::over_budget(options, timer, current_bytes(), stats)) break;
+    if (over_budget(options, timer, current_bytes, stats)) break;
     const bool pending = nodes[at].pending;
 
     bool any_successor = false;
-    space.expand(nodes[at].state,
-                 [&](std::size_t j, const State& pre, const State& next, auto succ) {
-                   const Command& cmd = commands[j];
-                   if (options.allowed && !options.allowed(pre, cmd, next)) return;
+    space.expand(nodes[at].state, [&](std::size_t j, const std::int32_t* pre,
+                                      const std::int32_t* next, auto succ) {
+                   if (banned(j, pre, next)) return;
                    any_successor = true;
-                   if (stats) ++stats->edges_explored;
-                   bool trig = trigger(pre, cmd, next);
-                   bool resp = response(pre, cmd, next);
+                   ++edges;
+                   bool trig = trigger(j, pre, next);
+                   bool resp = response(j, pre, next);
                    bool next_pending = (pending || trig) && !resp;
                    bool fresh = false;
                    std::uint32_t sid = space.visit(succ, options.max_states, &fresh);
@@ -463,6 +528,18 @@ std::optional<CounterExample> response_search(const Model& model, Source& space,
   return std::nullopt;
 }
 
+/// Runs `search` over the graph when the checker has one, else on the fly.
+template <typename Search>
+std::optional<CounterExample> over_source(const Model& model, const ReachGraph* graph,
+                                          Search&& search) {
+  if (graph) {
+    GraphSource source(*graph);
+    return search(source);
+  }
+  LiveSource source(model);
+  return search(source);
+}
+
 }  // namespace
 
 Checker::Checker(const Model& model, const ReachGraph* graph) : model_(model), graph_(graph) {
@@ -473,35 +550,51 @@ Checker::Checker(const Model& model, const ReachGraph* graph) : model_(model), g
 
 std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
                                                        const CheckOptions& options) const {
-  auto bad = [&](const State& s) { return !good.eval(s); };
-  if (graph_) {
-    GraphSource source(*graph_);
-    return bfs_search(model_, source, options, stats, bad, nullptr);
-  }
-  LiveSource source(model_);
-  return bfs_search(model_, source, options, stats, bad, nullptr);
+  const auto no_edge = [](std::size_t, const std::int32_t*, const std::int32_t*) {
+    return false;
+  };
+  State scratch;
+  const auto bad = [&](const std::int32_t* s) {
+    scratch.assign(s, s + model_.var_count());
+    return !good.eval(scratch);
+  };
+  return over_source(model_, graph_, [&](auto& source) {
+    return bfs_search(model_, source, options, stats, no_edge, bad);
+  });
+}
+
+std::optional<CounterExample> Checker::check_edge_never(const EdgeMatch& bad, CheckStats* stats,
+                                                        const CheckOptions& options) const {
+  return over_source(model_, graph_, [&](auto& source) {
+    return bfs_search(model_, source, options, stats, MatchRows{bad});
+  });
 }
 
 std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
                                                         const CheckOptions& options) const {
-  if (graph_) {
-    GraphSource source(*graph_);
-    return bfs_search(model_, source, options, stats, nullptr, &bad);
-  }
-  LiveSource source(model_);
-  return bfs_search(model_, source, options, stats, nullptr, &bad);
+  return over_source(model_, graph_, [&](auto& source) {
+    return bfs_search(model_, source, options, stats, PredRows(model_, bad));
+  });
+}
+
+std::optional<CounterExample> Checker::check_response(const EdgeMatch& trigger,
+                                                      const EdgeMatch& response,
+                                                      CheckStats* stats,
+                                                      const CheckOptions& options) const {
+  return over_source(model_, graph_, [&](auto& source) {
+    return response_search(model_, source, MatchRows{trigger}, MatchRows{response}, stats,
+                           options);
+  });
 }
 
 std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
                                                       const EdgePred& response,
                                                       CheckStats* stats,
                                                       const CheckOptions& options) const {
-  if (graph_) {
-    GraphSource source(*graph_);
-    return response_search(model_, source, trigger, response, stats, options);
-  }
-  LiveSource source(model_);
-  return response_search(model_, source, trigger, response, stats, options);
+  return over_source(model_, graph_, [&](auto& source) {
+    return response_search(model_, source, PredRows(model_, trigger), PredRows(model_, response),
+                           stats, options);
+  });
 }
 
 }  // namespace procheck::mc

@@ -2,8 +2,8 @@
 // edges, and response liveness (G(trigger → F response)) with counterexample
 // traces — the verification features of nuXmv the paper's pipeline uses.
 //
-// The CEGAR loop's "property refinement" is realized by the `allowed` edge
-// filter in CheckOptions: adversary actions the cryptographic verifier
+// The CEGAR loop's "property refinement" is realized by the `banned` command
+// mask in CheckOptions: adversary actions the cryptographic verifier
 // adjudicated infeasible are excluded from the next verification iteration.
 //
 // A Checker explores the model on the fly, or — when handed the model's
@@ -64,14 +64,16 @@ struct CheckStats {
   bool truncated() const { return bound_hit || deadline_hit || mem_hit || cancelled; }
 };
 
-/// Edge predicate over (pre-state, command, post-state).
+/// Edge predicate over (pre-state, command, post-state). A search hands its
+/// edges out as rows of values and copies them into States only for these;
+/// an EdgeMatch is tested on the rows in place.
 using EdgePred = std::function<bool(const State&, const Command&, const State&)>;
 
 /// A compiled edge matcher: an edge matches when its command's entry in
 /// `commands` is set and its pre-state holds every (variable, value) pair
 /// of `pre_equals` (a negative variable or value never holds). The catalog's
 /// matchers compile to this form (checker::MetaMatch::compile_match), so the
-/// EdgePred a search calls and ReachGraph::first_hits share one definition.
+/// searches and ReachGraph::first_hits share one definition.
 struct EdgeMatch {
   std::vector<std::uint8_t> commands;  // per command index: 1 = may match
   std::vector<std::pair<int, std::int32_t>> pre_equals;
@@ -102,8 +104,12 @@ struct CheckOptions {
   /// dequeued state (and periodically inside the liveness lasso search); a
   /// cancelled search stops with stats->cancelled set.
   const CancelToken* cancel = nullptr;
-  /// When set, edges for which this returns false are pruned (CEGAR
-  /// refinement of the threat model).
+  /// Per command index: 1 = every edge of that command is pruned (CEGAR
+  /// refinement of the threat model). Empty or shorter than the command
+  /// list: the rest are allowed.
+  std::vector<std::uint8_t> banned;
+  /// When set, edges for which this returns false are pruned as well: a
+  /// state-dependent ban, which materializes each edge's states.
   EdgePred allowed;
 };
 
@@ -118,11 +124,16 @@ class Checker {
                                                 const CheckOptions& options = {}) const;
 
   /// "bad edge never fires" — returns a finite trace ending with the edge.
+  std::optional<CounterExample> check_edge_never(const EdgeMatch& bad, CheckStats* stats,
+                                                 const CheckOptions& options = {}) const;
   std::optional<CounterExample> check_edge_never(const EdgePred& bad, CheckStats* stats,
                                                  const CheckOptions& options = {}) const;
 
   /// G(trigger → F response) over edges — returns a lasso trace on which a
   /// trigger fires and the loop never answers it. Deadlocked states stutter.
+  std::optional<CounterExample> check_response(const EdgeMatch& trigger,
+                                               const EdgeMatch& response, CheckStats* stats,
+                                               const CheckOptions& options = {}) const;
   std::optional<CounterExample> check_response(const EdgePred& trigger,
                                                const EdgePred& response, CheckStats* stats,
                                                const CheckOptions& options = {}) const;

@@ -47,11 +47,12 @@ class ReachGraph {
   static constexpr std::uint32_t kNoHit = 0xFFFFFFFFu;
 
   /// Explores `model` from its initial state under the budgets of `options`
-  /// (max_states, max_seconds, max_visited_bytes, cancel; `allowed` must be
-  /// unset — the graph is of the unrefined model). Returns nullopt when a
-  /// budget truncated the exploration: a partial graph cannot stand in for a
-  /// search, so the caller checks without one. `stats` (optional) reports
-  /// the build: states, edges, peak bytes, seconds and any tripped budget.
+  /// (max_states, max_seconds, max_visited_bytes, cancel; `banned` and
+  /// `allowed` must be unset — the graph is of the unrefined model). Returns
+  /// nullopt when a budget truncated the exploration: a partial graph cannot
+  /// stand in for a search, so the caller checks without one. `stats`
+  /// (optional) reports the build: states, edges, peak bytes, seconds and
+  /// any tripped budget.
   static std::optional<ReachGraph> build(const Model& model, const CheckOptions& options = {},
                                          CheckStats* stats = nullptr);
 
@@ -73,8 +74,8 @@ class ReachGraph {
   /// kNoHit.
   std::vector<std::uint32_t> first_hits(std::span<const EdgeMatch> matchers) const;
 
-  /// What Checker::check_edge_never returns over this graph, with no
-  /// `allowed` filter and max_states = `cap`, for a predicate whose first
+  /// What Checker::check_edge_never returns over this graph, with no ban
+  /// (`banned`, `allowed`) and max_states = `cap`, for a predicate whose first
   /// hit is `hit` (first_hits() output): the same trace, states and edges
   /// explored and bound_hit, read off the BFS tree instead of walked. A cap
   /// below states() is the CSR prefix of its first `cap` rows. visited_bytes

@@ -414,13 +414,16 @@ TEST(ParallelAnalysis, SubsetDeterminism) {
 // Many workers querying one shared reachable graph (the supervisor's fan-out
 // shape): the graph and the never-claim scan's answers are read-only after
 // the pre-pool scan, so concurrent queries answered from them must equal the
-// sequential graph walks. Also run under ThreadSanitizer (`tsan` preset).
+// sequential graph walks, and concurrent compiled walks (EdgeMatch, ban
+// mask) the same queries asked sequentially through EdgePreds. Also run
+// under ThreadSanitizer (`tsan` preset).
 TEST(SharedGraph, ConcurrentQueriesMatchSequential) {
   const ExtractedModels& m = models_for(ue::StackProfile::cls());
   const threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
   const std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(tm.model);
   ASSERT_TRUE(graph.has_value());
-  const std::vector<std::string> ids = {"S01", "S02", "S05", "S20", "P01", "P04"};
+  const std::vector<std::string> ids = {"S01", "S02", "S05", "S20", "S21",
+                                        "S36", "P01", "P04", "P07"};
   std::vector<mc::EdgeMatch> matchers;
   for (const std::string& id : ids) matchers.push_back(property(id).bad.compile_match(tm));
   const std::vector<std::uint32_t> hits = graph->first_hits(matchers);
@@ -440,6 +443,55 @@ TEST(SharedGraph, ConcurrentQueriesMatchSequential) {
     pool.wait();
   }
   expect_reports_identical(seq, par);
+
+  // Each property's last query: its matchers under the ban its refinements
+  // ended with.
+  const mc::Checker walk(tm.model, &*graph);
+  auto query = [&](std::size_t i, bool compiled) {
+    const PropertyDef& prop = property(ids[i]);
+    const bool never = prop.kind == PropertyDef::Kind::kEdgeNever;
+    const mc::EdgeMatch a = (never ? prop.bad : prop.trigger).compile_match(tm);
+    const mc::EdgeMatch b = prop.response.compile_match(tm);
+    std::vector<std::uint8_t> mask(tm.model.commands().size(), 0);
+    for (const mc::Command& cmd : tm.model.commands()) {
+      for (const std::string& r : seq.results[i].refinements) {
+        if (r.rfind("banned " + cmd.label + ": ", 0) == 0) mask[cmd.index] = 1;
+      }
+    }
+    auto pred = [](const mc::EdgeMatch& match) -> mc::EdgePred {
+      return [&match](const mc::State& pre, const mc::Command& cmd, const mc::State&) {
+        return match.matches(pre.data(), static_cast<std::size_t>(cmd.index));
+      };
+    };
+    mc::CheckOptions options;
+    mc::CheckStats stats;
+    std::optional<mc::CounterExample> cex;
+    if (compiled) {
+      options.banned = mask;
+      cex = never ? walk.check_edge_never(a, &stats, options)
+                  : walk.check_response(a, b, &stats, options);
+    } else {
+      options.allowed = [&mask](const mc::State&, const mc::Command& cmd, const mc::State&) {
+        return mask[cmd.index] == 0;
+      };
+      cex = never ? walk.check_edge_never(pred(a), &stats, options)
+                  : walk.check_response(pred(a), pred(b), &stats, options);
+    }
+    return (cex ? cex->render(tm.model) : std::string("no counterexample\n")) +
+           std::to_string(stats.states_explored) + " states, " +
+           std::to_string(stats.edges_explored) + " edges, " +
+           std::to_string(stats.visited_bytes) + " bytes";
+  };
+  std::vector<std::string> expected, got(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) expected.push_back(query(i, false));
+  {
+    ThreadPool pool(4);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      pool.submit([&, i] { got[i] = query(i, true); });
+    }
+    pool.wait();
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(expected[i], got[i]) << ids[i];
 }
 
 TEST(ParallelAnalysis, FullCatalogMatchesSequential) {

@@ -20,6 +20,12 @@
 // equal the graph walk it replaces for every unrefined never-claim: on
 // random compiled matchers over the random models and on every catalog
 // never-claim of cls, srsue and oai, uncapped and under binding caps.
+//
+// The compiled walks (an mc::EdgeMatch tested on the source's rows, the
+// CEGAR ban as a command mask) must equal the same query asked through
+// EdgePreds, which the searches hand materialized states, and the live
+// search: on random matchers and masks, and on every catalog response
+// property and refined never-claim iteration under the masks CEGAR bans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -574,9 +580,9 @@ mc::EdgeMatch random_match(Rng& rng, const mc::Model& m) {
   return match;
 }
 
-/// The per-search form of a compiled matcher.
+/// A compiled matcher as an EdgePred (the adapter path of the searches).
 mc::EdgePred as_pred(const mc::EdgeMatch& match) {
-  return [&match](const mc::State& pre, const mc::Command& cmd, const mc::State&) {
+  return [match](const mc::State& pre, const mc::Command& cmd, const mc::State&) {
     return match.matches(pre.data(), static_cast<std::size_t>(cmd.index));
   };
 }
@@ -637,7 +643,7 @@ TEST(Oracle, ScanMatchesGraphWalk) {
             opts.max_states = caps[c];
             mc::CheckStats a, b;
             const mc::Checker walk(p.tm.model, &*p.graph);
-            auto x = walk.check_edge_never(never[i]->bad.compile(p.tm), &a, opts);
+            auto x = walk.check_edge_never(as_pred(never[i]->bad.compile_match(p.tm)), &a, opts);
             auto y = p.graph->edge_never_answer(first[i], caps[c], &b);
             walked[i * caps.size() + c] = fingerprint(p.tm.model, x, a);
             answered[i * caps.size() + c] = fingerprint(p.tm.model, y, b);
@@ -653,6 +659,190 @@ TEST(Oracle, ScanMatchesGraphWalk) {
     claims += never.size();
   }
   EXPECT_EQ(claims, 3u * 55u);
+}
+
+// --- Compiled walks --------------------------------------------------------------
+
+/// The ban of `mask` as a CheckOptions::allowed predicate, optionally with a
+/// state-dependent ban on top.
+mc::EdgePred mask_pred(const std::vector<std::uint8_t>& mask, const mc::EdgePred& also) {
+  return [mask, also](const mc::State& a, const mc::Command& c, const mc::State& b) {
+    return mask[c.index] == 0 && (!also || also(a, c, b));
+  };
+}
+
+/// One query asked four ways: {graph walk, live search} x {compiled
+/// (EdgeMatch, ban mask), EdgePred (as_pred, mask_pred)}. A never-claim when
+/// `bad` is set, else the response claim (trigger, response). `state_ban`
+/// (may be empty) is a state-dependent ban both forms apply.
+struct FourWays {
+  std::string walk, walk_pred, live, live_pred;  // fingerprint + visited bytes
+  std::string walk_fp, live_fp;                  // fingerprint alone
+  bool cex = false;
+  bool bound_hit = false;
+
+  /// "" when the four agree, else which pair differs.
+  std::string mismatch() const {
+    if (walk != walk_pred) return "graph walk: compiled\n" + walk + "vs EdgePred\n" + walk_pred;
+    if (live != live_pred) return "live: compiled\n" + live + "vs EdgePred\n" + live_pred;
+    if (walk_fp != live_fp) return "compiled: walk\n" + walk_fp + "vs live\n" + live_fp;
+    return "";
+  }
+};
+
+FourWays four_ways(const mc::Model& m, const mc::ReachGraph& graph, const mc::EdgeMatch* bad,
+                   const mc::EdgeMatch* trigger, const mc::EdgeMatch* response,
+                   const std::vector<std::uint8_t>& mask, const mc::EdgePred& state_ban,
+                   std::size_t cap) {
+  mc::CheckOptions compiled;
+  compiled.max_states = cap;
+  compiled.banned = mask;
+  compiled.allowed = state_ban;
+  mc::CheckOptions pred;
+  pred.max_states = cap;
+  pred.allowed = mask_pred(mask, state_ban);
+  FourWays out;
+  auto run = [&](const mc::Checker& checker, bool as_edge_pred, std::string* fp) {
+    mc::CheckStats stats;
+    std::optional<mc::CounterExample> cex;
+    if (bad && as_edge_pred) {
+      cex = checker.check_edge_never(as_pred(*bad), &stats, pred);
+    } else if (bad) {
+      cex = checker.check_edge_never(*bad, &stats, compiled);
+    } else if (as_edge_pred) {
+      cex = checker.check_response(as_pred(*trigger), as_pred(*response), &stats, pred);
+    } else {
+      cex = checker.check_response(*trigger, *response, &stats, compiled);
+    }
+    const std::string f = fingerprint(m, cex, stats);
+    if (fp) {
+      *fp = f;
+      out.cex = cex.has_value();
+      out.bound_hit = stats.bound_hit;
+    }
+    return f + "bytes=" + std::to_string(stats.visited_bytes) + "\n";
+  };
+  const mc::Checker walk(m, &graph);
+  const mc::Checker live(m);
+  out.walk = run(walk, false, &out.walk_fp);
+  out.walk_pred = run(walk, true, nullptr);
+  out.live = run(live, false, &out.live_fp);
+  out.live_pred = run(live, true, nullptr);
+  return out;
+}
+
+TEST(Oracle, CompiledWalkMatchesPredicateWalk) {
+  std::size_t cexs = 0, capped = 0, masked = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const RandomCase rc = random_case(seed);
+    std::optional<mc::ReachGraph> graph = mc::ReachGraph::build(rc.model);
+    ASSERT_TRUE(graph.has_value()) << "seed " << seed;
+    Rng rng(seed * 104729 + 3);
+    const mc::EdgeMatch bad = random_match(rng, rc.model);
+    const mc::EdgeMatch trigger = random_match(rng, rc.model);
+    const mc::EdgeMatch response = random_match(rng, rc.model);
+    std::vector<std::uint8_t> mask;
+    for (std::size_t j = 0; j < rc.model.commands().size(); ++j) {
+      mask.push_back(rng.next_below(4) == 0 ? 1 : 0);
+    }
+    const std::vector<std::uint8_t> none(mask.size(), 0);
+    for (std::size_t cap : {0, 1, 2, 3, 5, 9, 1'000'000}) {
+      // No ban, the command mask alone, and the mask plus the case's
+      // state-dependent ban.
+      for (int ban = 0; ban < 3; ++ban) {
+        const std::vector<std::uint8_t>& m = ban == 0 ? none : mask;
+        const mc::EdgePred state_ban = ban == 2 ? rc.allowed : mc::EdgePred{};
+        const std::string where = "seed " + std::to_string(seed) + " cap " +
+                                  std::to_string(cap) + " ban " + std::to_string(ban);
+        const FourWays never =
+            four_ways(rc.model, *graph, &bad, nullptr, nullptr, m, state_ban, cap);
+        EXPECT_EQ(never.mismatch(), "") << "edge-never " << where;
+        const FourWays resp =
+            four_ways(rc.model, *graph, nullptr, &trigger, &response, m, state_ban, cap);
+        EXPECT_EQ(resp.mismatch(), "") << "response " << where;
+        cexs += never.cex + resp.cex;
+        capped += never.bound_hit + resp.bound_hit;
+        masked += ban > 0 && std::count(mask.begin(), mask.end(), 1) > 0;
+      }
+    }
+  }
+  // The generator must reach every outcome the walks produce.
+  EXPECT_GT(cexs, 1500u);
+  EXPECT_GT(capped, 3000u);
+  EXPECT_GT(masked, 2500u);
+
+  // The catalog: every response property, and every never-claim CEGAR
+  // refines, under each ban mask its refinement passes through (the
+  // refinements in order: mask k bans the first k labels).
+  std::size_t queries = 0, refined = 0;
+  for (const ue::StackProfile& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const Pipeline& p = pipeline(profile);
+    ASSERT_TRUE(p.graph.has_value()) << profile.name;
+    const std::vector<const PropertyDef*> props = select({});
+    const std::vector<std::optional<std::uint32_t>> hits = scan(p, props);
+    struct Query {
+      const PropertyDef* prop;
+      mc::EdgeMatch bad, trigger, response;
+      std::vector<std::uint8_t> mask;
+      std::size_t cap;
+    };
+    std::vector<Query> work;
+    for (std::size_t i = 0; i < props.size(); ++i) {
+      const PropertyDef& prop = *props[i];
+      const bool never = prop.kind == PropertyDef::Kind::kEdgeNever;
+      cpv::LteCryptoModel crypto(p.crypto);
+      const PropertyResult r =
+          checker::check_property(p.tm, p.flat, prop, crypto, {}, &*p.graph, hits[i]);
+      if (never && r.iterations < 2) continue;
+      refined += never;
+      std::vector<std::uint8_t> mask(p.tm.model.commands().size(), 0);
+      for (std::size_t k = 0; k <= r.refinements.size(); ++k) {
+        if (k > 0) {
+          for (const mc::Command& cmd : p.tm.model.commands()) {
+            if (r.refinements[k - 1].rfind("banned " + cmd.label + ": ", 0) == 0) {
+              mask[cmd.index] = 1;
+            }
+          }
+        }
+        for (std::size_t cap : {1'000'000, 5000, 300}) {
+          Query q{&prop, {}, {}, {}, mask, cap};
+          if (never) {
+            q.bad = prop.bad.compile_match(p.tm);
+          } else {
+            q.trigger = prop.trigger.compile_match(p.tm);
+            q.response = prop.response.compile_match(p.tm);
+          }
+          work.push_back(std::move(q));
+        }
+      }
+    }
+    std::vector<std::string> mismatch(work.size());
+    {
+      ThreadPool pool(4);
+      for (std::size_t n = 0; n < work.size(); ++n) {
+        pool.submit([&, n] {
+          const Query& q = work[n];
+          const bool never = q.prop->kind == PropertyDef::Kind::kEdgeNever;
+          mismatch[n] = four_ways(p.tm.model, *p.graph, never ? &q.bad : nullptr,
+                                  never ? nullptr : &q.trigger, never ? nullptr : &q.response,
+                                  q.mask, {}, q.cap)
+                            .mismatch();
+        });
+      }
+      pool.wait();
+    }
+    for (std::size_t n = 0; n < work.size(); ++n) {
+      EXPECT_EQ(mismatch[n], "") << profile.name << "/" << work[n].prop->id << " cap "
+                                 << work[n].cap;
+    }
+    queries += work.size();
+  }
+  // The refined never-claims (S20-S25, P21, ... on each profile), each
+  // under at least two masks, and the 7 response properties per profile,
+  // each at 3 caps.
+  EXPECT_GE(refined, 20u);
+  EXPECT_GE(queries, 3u * (3u * 7u + 2u * refined));
 }
 
 }  // namespace
