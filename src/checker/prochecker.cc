@@ -155,6 +155,7 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   report.graph_build_seconds = run.graph_build_seconds;
   report.scan_answered = run.scan_answered;
   report.scan_seconds = run.scan_seconds;
+  report.graph_note = std::move(run.graph_note);
   report.journal_error = std::move(run.journal_error);
 
   for (PropertyOutcome& outcome : run.outcomes) {

@@ -100,6 +100,9 @@ struct ImplementationReport {
   /// The never-claim scan over that graph (SupervisedRun::scan_*).
   std::size_t scan_answered = 0;
   double scan_seconds = 0;
+  /// Why the properties explored the model on their own
+  /// (SupervisedRun::graph_note).
+  std::string graph_note;
   /// Non-empty when the run journal could not be written (analysis continued).
   std::string journal_error;
   /// The run refused to start (journal held by a live concurrent run, or

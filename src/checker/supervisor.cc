@@ -245,24 +245,84 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
   return out;
 }
 
+/// One model's state while a run is in flight: what is left to verify,
+/// which outcomes are in, and its graph with the scan's answers.
+struct ModelState {
+  std::vector<std::size_t> work;
+  std::vector<char> done;
+  std::optional<mc::ReachGraph> graph;
+  std::vector<std::optional<std::uint32_t>> first_hit;
+};
+
+/// Builds `model`'s shared reachable graph under the budgets of one
+/// property's first attempt (so a run whose budgets would truncate a single
+/// search never trades it for a graph), then answers every never-claim's
+/// first iteration with one scan of it (a property that is not applicable
+/// returns before it reads its answer). A budget trip or a cancel leaves
+/// `state` without a graph.
+void build_graph(const SupervisedModel& model, const CegarOptions& cegar,
+                 const SupervisorOptions& options, ModelState& state, SupervisedRun& run) {
+  mc::CheckOptions build;
+  build.max_states = cegar.max_states;
+  build.max_seconds = min_bound(cegar.max_seconds, options.deadline_per_property);
+  build.max_visited_bytes = min_bound(cegar.max_visited_bytes, options.mem_ceiling_bytes);
+  build.cancel = options.cancel;
+  mc::CheckStats stats;
+  state.graph = mc::ReachGraph::build(model.tm.model, build, &stats);
+  run.graph_build_seconds = stats.seconds;
+  if (!state.graph) {
+    if (!stats.cancelled) run.graph_note = "build stopped at a budget";
+    return;
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::size_t> owner;
+  std::vector<mc::EdgeMatch> matchers;
+  for (std::size_t i : state.work) {
+    if (model.selected[i]->kind != PropertyDef::Kind::kEdgeNever) continue;
+    owner.push_back(i);
+    matchers.push_back(model.selected[i]->bad.compile_match(model.tm));
+  }
+  const std::vector<std::uint32_t> hits = state.graph->first_hits(matchers);
+  for (std::size_t k = 0; k < owner.size(); ++k) state.first_hit[owner[k]] = hits[k];
+  run.graph_states = state.graph->states();
+  run.graph_edges = state.graph->edges();
+  run.scan_answered = owner.size();
+  run.scan_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 }  // namespace
 
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,
                              const CegarOptions& cegar, const SupervisorOptions& options) {
-  SupervisedRun run;
+  return std::move(
+      run_supervised({{tm, ue_fsm, selected}}, crypto_options, cegar, options).front());
+}
+
+std::vector<SupervisedRun> run_supervised(const std::vector<SupervisedModel>& models,
+                                          const cpv::LteCryptoModel::Options& crypto_options,
+                                          const CegarOptions& cegar,
+                                          const SupervisorOptions& options) {
+  std::vector<SupervisedRun> runs(models.size());
+  const auto refuse = [&runs](const std::string& reason) {
+    for (SupervisedRun& run : runs) {
+      run.aborted = true;
+      run.abort_reason = reason;
+    }
+    return runs;
+  };
+  if (models.size() > 1 && !options.journal_path.empty()) {
+    return refuse("a run journal holds one model's outcomes; " +
+                  std::to_string(models.size()) + " models were given");
+  }
 
   // A refused run (journal locked by a live run, or written under other
   // options) verifies nothing.
   supervise::JournalSession journal;
-  if (!journal.open(options, "analyze", options.options_hash)) {
-    run.aborted = true;
-    run.abort_reason = journal.refusal();
-    return run;
-  }
-  run.outcomes.resize(selected.size());
-  std::vector<char> done(selected.size(), 0);
+  if (!journal.open(options, "analyze", options.options_hash)) return refuse(journal.refusal());
 
   std::map<std::string, PropertyOutcome> adopted;
   for (const std::string& payload : journal.resumed()) {
@@ -272,132 +332,134 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   journal.rewrite(journal.resumed());
   std::mutex journal_mutex;
 
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    auto it = adopted.find(selected[i]->id);
-    if (it != adopted.end()) {
-      run.outcomes[i] = it->second;
-      run.outcomes[i].resumed = true;
-      done[i] = 1;
-      ++run.resumed;
-    } else {
-      work.push_back(i);
+  std::vector<ModelState> states(models.size());
+  std::size_t total_work = 0;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const std::vector<const PropertyDef*>& selected = models[m].selected;
+    SupervisedRun& run = runs[m];
+    ModelState& state = states[m];
+    run.outcomes.resize(selected.size());
+    state.done.assign(selected.size(), 0);
+    state.first_hit.resize(selected.size());
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      auto it = adopted.find(selected[i]->id);
+      if (it != adopted.end()) {
+        run.outcomes[i] = it->second;
+        run.outcomes[i].resumed = true;
+        state.done[i] = 1;
+        ++run.resumed;
+      } else {
+        state.work.push_back(i);
+      }
     }
+    total_work += state.work.size();
   }
 
   // Journal-first publication: an outcome is recorded durably before it is
   // considered done, so a crash between the two re-verifies (never loses)
   // at most the in-flight property. Cancelled outcomes are interruptions,
   // not verdicts — they are never journaled, so resume re-verifies them.
-  auto record = [&](std::size_t i, PropertyOutcome outcome) {
+  auto record = [&](std::size_t m, std::size_t i, PropertyOutcome outcome) {
     if (outcome.failure != Failure::kCancelled && !options.journal_path.empty()) {
       std::lock_guard<std::mutex> lock(journal_mutex);
       journal.append(encode_outcome(outcome));
       journal.commit();
     }
-    run.outcomes[i] = std::move(outcome);
-    done[i] = 1;
+    runs[m].outcomes[i] = std::move(outcome);
+    states[m].done[i] = 1;
   };
 
-  // --- Shared reachable graph ---------------------------------------------
-  // Built under the budgets of one property's first attempt, so a run whose
-  // budgets would truncate a single search never trades it for a graph.
-  std::optional<mc::ReachGraph> graph;
-  if (!work.empty()) {
-    mc::CheckOptions build;
-    build.max_states = cegar.max_states;
-    build.max_seconds = min_bound(cegar.max_seconds, options.deadline_per_property);
-    build.max_visited_bytes = min_bound(cegar.max_visited_bytes, options.mem_ceiling_bytes);
-    build.cancel = options.cancel;
-    mc::CheckStats stats;
-    graph = mc::ReachGraph::build(tm.model, build, &stats);
-    run.graph_build_seconds = stats.seconds;
-    if (graph) {
-      run.graph_states = graph->states();
-      run.graph_edges = graph->edges();
-    }
-  }
-  const mc::ReachGraph* shared = graph ? &*graph : nullptr;
-
-  // One scan of the graph answers every never-claim's first iteration (a
-  // property that is not applicable returns before it reads its answer);
-  // the answers are read-only from here on.
-  std::vector<std::optional<std::uint32_t>> first_hit(selected.size());
-  if (shared) {
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::size_t> owner;
-    std::vector<mc::EdgeMatch> matchers;
-    for (std::size_t i : work) {
-      if (selected[i]->kind != PropertyDef::Kind::kEdgeNever) continue;
-      owner.push_back(i);
-      matchers.push_back(selected[i]->bad.compile_match(tm));
-    }
-    const std::vector<std::uint32_t> hits = shared->first_hits(matchers);
-    for (std::size_t k = 0; k < owner.size(); ++k) first_hit[owner[k]] = hits[k];
-    run.scan_answered = owner.size();
-    run.scan_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  }
-
-  // One worker per job; at jobs=1 the single worker runs the properties in
-  // selection order.
-  ThreadPool pool(std::min(std::max<std::size_t>(1, options.jobs), work.size()));
-  // Verifiers are reused across properties through a free-list (the
-  // cpv::Knowledge saturation cache stays warm) but never shared
-  // concurrently.
+  // One worker per job; at jobs=1 the single worker builds, then runs the
+  // properties in selection order.
+  ThreadPool pool(std::min(std::max<std::size_t>(1, options.jobs), total_work));
+  const auto shed_if_cancelled = [&] {
+    if (!options.cancel || !options.cancel->cancelled()) return false;
+    // Shed everything not yet started; what it drops is reported as
+    // cancelled below.
+    pool.cancel_pending();
+    return true;
+  };
+  // Verifiers are reused across properties (and models: a verifier depends
+  // on crypto_options only) through a free-list (the cpv::Knowledge
+  // saturation cache stays warm) but never shared concurrently.
   std::mutex crypto_mutex;
   std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
-  for (std::size_t i : work) {
-    pool.submit([&, i] {
-      // Catch-all even outside run_one_property: a throwing task would
-      // reach std::terminate through the pool, taking down the whole run.
-      try {
-        if (options.cancel && options.cancel->cancelled()) {
-          // Shed everything not yet started; this property is reported as
-          // cancelled below.
-          pool.cancel_pending();
-          return;
+  const auto check = [&](std::size_t m, std::size_t i) {
+    const PropertyDef& prop = *models[m].selected[i];
+    // Catch-all even outside run_one_property: a throwing task would
+    // reach std::terminate through the pool, taking down the whole run.
+    try {
+      if (shed_if_cancelled()) return;
+      std::unique_ptr<cpv::LteCryptoModel> crypto;
+      {
+        std::lock_guard<std::mutex> lock(crypto_mutex);
+        if (!idle_verifiers.empty()) {
+          crypto = std::move(idle_verifiers.back());
+          idle_verifiers.pop_back();
         }
-        std::unique_ptr<cpv::LteCryptoModel> crypto;
-        {
-          std::lock_guard<std::mutex> lock(crypto_mutex);
-          if (!idle_verifiers.empty()) {
-            crypto = std::move(idle_verifiers.back());
-            idle_verifiers.pop_back();
-          }
-        }
-        if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
-        PropertyOutcome outcome =
-            run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options, shared,
-                             first_hit[i]);
-        {
-          std::lock_guard<std::mutex> lock(crypto_mutex);
-          idle_verifiers.push_back(std::move(crypto));
-        }
-        record(i, std::move(outcome));
-      } catch (const std::exception& e) {
-        record(i, exception_outcome(*selected[i], e.what()));
-      } catch (...) {
-        record(i, exception_outcome(*selected[i], "unknown exception type"));
       }
-    });
+      if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
+      const mc::ReachGraph* graph = states[m].graph ? &*states[m].graph : nullptr;
+      PropertyOutcome outcome = run_one_property(models[m].tm, models[m].ue_fsm, prop, *crypto,
+                                                 cegar, options, graph, states[m].first_hit[i]);
+      {
+        std::lock_guard<std::mutex> lock(crypto_mutex);
+        idle_verifiers.push_back(std::move(crypto));
+      }
+      record(m, i, std::move(outcome));
+    } catch (const std::exception& e) {
+      record(m, i, exception_outcome(prop, e.what()));
+    } catch (...) {
+      record(m, i, exception_outcome(prop, "unknown exception type"));
+    }
+  };
+  // A build task owns its model's graph and scan answers until it submits
+  // the model's property tasks; they only read them. A build that throws
+  // leaves the model on the per-property path, like a tripped budget.
+  const auto build = [&](std::size_t m) {
+    ModelState& state = states[m];
+    SupervisedRun& run = runs[m];
+    std::optional<std::string> failure;
+    try {
+      if (shed_if_cancelled()) return;
+      if (options.build_fault_hook) options.build_fault_hook(m);
+      build_graph(models[m], cegar, options, state, run);
+    } catch (const std::exception& e) {
+      failure = e.what();
+    } catch (...) {
+      failure = "unknown exception type";
+    }
+    if (failure) {
+      // The scan's answers are written only after it returns, so none are
+      // left behind.
+      state.graph.reset();
+      run.graph_note = "build failed: " + *failure;
+    }
+    for (std::size_t i : state.work) pool.submit([&check, m, i] { check(m, i); });
+  };
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    if (!states[m].work.empty()) pool.submit([&build, m] { build(m); });
   }
   pool.wait();
 
-  // Properties never started (cancelled run / shed tasks) still get a
-  // structured outcome — the report has one row per selected property.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (done[i]) continue;
-    run.outcomes[i] = failed_outcome(*selected[i], Failure::kCancelled, "run cancelled",
-                                     "cancelled before verification started");
-    run.outcomes[i].attempts = 0;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    SupervisedRun& run = runs[m];
+    const std::vector<const PropertyDef*>& selected = models[m].selected;
+    // Properties never started (cancelled run / shed tasks) still get a
+    // structured outcome — the report has one row per selected property.
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      if (states[m].done[i]) continue;
+      run.outcomes[i] = failed_outcome(*selected[i], Failure::kCancelled, "run cancelled",
+                                       "cancelled before verification started");
+      run.outcomes[i].attempts = 0;
+    }
+    for (const PropertyOutcome& outcome : run.outcomes) {
+      if (outcome.failure == Failure::kCancelled) ++run.cancelled;
+    }
+    run.journal_records = journal.records();
+    run.journal_error = journal.error().empty() ? journal.note() : journal.error();
   }
-  for (const PropertyOutcome& outcome : run.outcomes) {
-    if (outcome.failure == Failure::kCancelled) ++run.cancelled;
-  }
-  run.journal_records = journal.records();
-  run.journal_error = journal.error().empty() ? journal.note() : journal.error();
-  return run;
+  return runs;
 }
 
 }  // namespace procheck::checker

@@ -65,6 +65,9 @@ struct SupervisorOptions : supervise::Options {
   /// Test hook: invoked at the start of every attempt; a throw simulates a
   /// worker crash inside the MC/CEGAR loop.
   std::function<void(const std::string& property_id, int attempt)> fault_hook;
+  /// Test hook: invoked at the start of each model's graph-build task with
+  /// the model's index; a throw simulates a crash in the build.
+  std::function<void(std::size_t model)> build_fault_hook;
 };
 
 struct SupervisedRun : supervise::Status {
@@ -85,6 +88,18 @@ struct SupervisedRun : supervise::Status {
   /// off the scan), and the seconds it took (0 / 0 without a graph).
   std::size_t scan_answered = 0;
   double scan_seconds = 0;
+  /// Why the properties explored the model on their own although they had
+  /// work to do: "build stopped at a budget" or "build failed: <what>";
+  /// empty when the graph was built or the run was cancelled.
+  std::string graph_note;
+};
+
+/// One model of a multi-model run: its threat model, its UE machine and the
+/// properties to check on it.
+struct SupervisedModel {
+  const threat::ThreatModel& tm;
+  const fsm::Fsm& ue_fsm;
+  const std::vector<const PropertyDef*>& selected;
 };
 
 /// Runs `selected` under supervision. Exceptions never escape a worker:
@@ -92,16 +107,28 @@ struct SupervisedRun : supervise::Status {
 /// deterministic across jobs levels and across interrupt/resume cycles for
 /// deterministic budgets (see DESIGN.md §11 for the determinism argument).
 ///
-/// Before the fan-out, the unrefined model's reachable graph is built once
-/// (mc::ReachGraph) under one property's first-attempt budgets; every
-/// property then queries it. One scan of the graph then answers the first
-/// iteration of every never-claim, before the pool starts. A
-/// build that trips a budget yields no graph and each property explores the
-/// model on its own, exactly as without one.
+/// The unrefined model's reachable graph is built once (mc::ReachGraph)
+/// under one property's first-attempt budgets; every property then queries
+/// it. One scan of the graph answers the first iteration of every
+/// never-claim. A build that trips a budget or throws yields no graph and
+/// each property explores the model on its own, exactly as without one.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,
                              const CegarOptions& cegar, const SupervisorOptions& options);
+
+/// Checks several models under one pool of `options.jobs` workers and
+/// returns one SupervisedRun per model, in `models` order — each equal to
+/// that model's one-model run. Each model's graph build plus never-claim
+/// scan is a pool task, submitted before any property task; a finished
+/// build submits its model's property tasks, so one model's properties run
+/// while another is still building. Every graph stays alive until the run
+/// ends. A run journal holds one model's outcomes: with more than one model
+/// a `journal_path` is refused (every run comes back aborted).
+std::vector<SupervisedRun> run_supervised(const std::vector<SupervisedModel>& models,
+                                          const cpv::LteCryptoModel::Options& crypto_options,
+                                          const CegarOptions& cegar,
+                                          const SupervisorOptions& options);
 
 /// The verdict's journal and triage token ("verified", "attack",
 /// "not_applicable", "inconclusive").

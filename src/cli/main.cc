@@ -304,6 +304,27 @@ int cmd_extract(ue::StackProfile profile, const Args& args) {
   return 0;
 }
 
+/// The stderr lines on the shared reachable graph and the never-claim scan
+/// (DESIGN.md §10), for a run's report (analyze) or one triage side (diff);
+/// both carry SupervisedRun's graph_* / scan_* fields and graph_note.
+template <typename GraphReport>
+void print_graph_stats(const std::string& prefix, const GraphReport& rep) {
+  if (rep.graph_states > 0) {
+    std::fprintf(stderr,
+                 "%sshared graph: %zu states, %zu edges, built in %.2fs (%.0f states/s)\n",
+                 prefix.c_str(), rep.graph_states, rep.graph_edges, rep.graph_build_seconds,
+                 rep.graph_build_seconds > 0
+                     ? static_cast<double>(rep.graph_states) / rep.graph_build_seconds
+                     : 0.0);
+    std::fprintf(stderr, "%snever-claim scan: %zu never-claims scanned in %.3fs\n",
+                 prefix.c_str(), rep.scan_answered, rep.scan_seconds);
+  } else if (!rep.graph_note.empty()) {
+    std::fprintf(stderr,
+                 "%sshared graph: %s after %.2fs; each property explored the model on its own\n",
+                 prefix.c_str(), rep.graph_note.c_str(), rep.graph_build_seconds);
+  }
+}
+
 int cmd_analyze(ue::StackProfile profile, const Args& args) {
   if (args.has("freshness-limit")) {
     auto v = parse_u64(args.get("freshness-limit"));
@@ -381,20 +402,7 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
       }
     }
   }
-  if (rep.graph_states > 0) {
-    std::fprintf(stderr, "shared graph: %zu states, %zu edges, built in %.2fs (%.0f states/s)\n",
-                 rep.graph_states, rep.graph_edges, rep.graph_build_seconds,
-                 rep.graph_build_seconds > 0
-                     ? static_cast<double>(rep.graph_states) / rep.graph_build_seconds
-                     : 0.0);
-    std::fprintf(stderr, "never-claim scan: %zu never-claims scanned in %.3fs\n",
-                 rep.scan_answered, rep.scan_seconds);
-  } else if (rep.graph_build_seconds > 0) {
-    std::fprintf(stderr,
-                 "shared graph: build stopped at a budget after %.2fs; each property"
-                 " explored the model on its own\n",
-                 rep.graph_build_seconds);
-  }
+  print_graph_stats("", rep);
   if (rep.resumed_count > 0) {
     std::fprintf(stderr, "resumed %zu of %zu properties from %s\n", rep.resumed_count,
                  rep.results.size(), options.journal_path.c_str());
@@ -721,7 +729,10 @@ int cmd_diff(const Args& args) {
   }
 
   diff::DiffReport report = diff::diff_machines(left.side, right.side, dopts);
-  diff::triage(report, left.side, right.side, topts);
+  diff::TriageStats tstats;
+  diff::triage(report, left.side, right.side, topts, &tstats);
+  print_graph_stats(left.side.name + ": ", tstats.left);
+  print_graph_stats(right.side.name + ": ", tstats.right);
   if (args.has("json")) {
     std::printf("%s\n", diff::encode_report(report).c_str());
   } else if (args.has("dot")) {

@@ -70,7 +70,7 @@ bool names_deviation_atom(const checker::MetaMatch& match) {
 }  // namespace
 
 void triage(DiffReport& report, const Side& left, const Side& right,
-            const TriageOptions& options) {
+            const TriageOptions& options, TriageStats* stats) {
   if (report.inconclusive || report.divergences.empty()) return;
 
   const std::vector<PropertyDef>& catalog = checker::property_catalog();
@@ -150,12 +150,23 @@ void triage(DiffReport& report, const Side& left, const Side& right,
   sup.retries = options.retries;
   sup.cancel = options.cancel;
 
-  auto verdicts = [&](const Side& side) {
-    threat::ThreatModel tm = checker::ProChecker::build_threat_model(side.machine);
-    return checker::run_supervised(tm, side.machine, selected, crypto, cegar, sup);
-  };
-  const checker::SupervisedRun lrun = verdicts(left);
-  const checker::SupervisedRun rrun = verdicts(right);
+  // Both sides share one pool: each side's graph build is a task, and a
+  // finished build submits that side's property tasks.
+  const threat::ThreatModel ltm = checker::ProChecker::build_threat_model(left.machine);
+  const threat::ThreatModel rtm = checker::ProChecker::build_threat_model(right.machine);
+  const std::vector<checker::SupervisedRun> runs = checker::run_supervised(
+      {{ltm, left.machine, selected}, {rtm, right.machine, selected}}, crypto, cegar, sup);
+  const checker::SupervisedRun& lrun = runs[0];
+  const checker::SupervisedRun& rrun = runs[1];
+  if (stats != nullptr) {
+    const auto graph_of = [](const checker::SupervisedRun& run) {
+      return TriageStats::SideGraph{run.graph_states, run.graph_edges,
+                                    run.graph_build_seconds, run.scan_answered,
+                                    run.scan_seconds, run.graph_note};
+    };
+    stats->left = graph_of(lrun);
+    stats->right = graph_of(rrun);
+  }
   if (lrun.outcomes.size() != selected.size() || rrun.outcomes.size() != selected.size()) {
     report.inconclusive = true;
     report.note = "triage aborted: supervisor produced no verdicts";

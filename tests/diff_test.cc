@@ -307,7 +307,8 @@ TEST(DiffCanonical, ReportIsByteIdenticalAcrossRunsAndJobs) {
   TriageOptions parallel;
   parallel.jobs = 4;
   DiffReport b = base;
-  triage(b, left, right, parallel);
+  TriageStats stats;
+  triage(b, left, right, parallel, &stats);
 
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.render(), b.render());
@@ -315,6 +316,14 @@ TEST(DiffCanonical, ReportIsByteIdenticalAcrossRunsAndJobs) {
   EXPECT_EQ(a.to_dot(), b.to_dot());
   // And against the shared fixture (a third, independent run).
   EXPECT_EQ(encode_report(a), encode_report(cls_vs_srsue()));
+  // Each side's graph is built once and scanned for its never-claims.
+  for (const TriageStats::SideGraph* side : {&stats.left, &stats.right}) {
+    EXPECT_GT(side->graph_states, 0u);
+    EXPECT_GT(side->scan_answered, 0u);
+    EXPECT_TRUE(side->graph_note.empty()) << side->graph_note;
+  }
+  // Each side reports its own model's graph.
+  EXPECT_NE(stats.left.graph_states, stats.right.graph_states);
 }
 
 // --- JSON codec --------------------------------------------------------------
@@ -406,10 +415,11 @@ TEST(DiffRemote, RemoteDiffMatchesInProcessDiff) {
 
 // --- Parallel triage under TSan ----------------------------------------------
 
-// `ctest -L tsan` (the tsan preset) runs this family alone: the per-property
-// fan-out across both sides with jobs > 1 must be race-free and reproduce
-// the sequential report exactly. Small handcrafted machines keep the model-
-// checking cost TSan-friendly.
+// `ctest -L tsan` (the tsan preset) runs this family alone: both sides share
+// one pool (graph builds, then property tasks submitted from the workers
+// that finished each build); with jobs > 1 it must be race-free and
+// reproduce the sequential report exactly. Small handcrafted machines keep
+// the model-checking cost TSan-friendly.
 TEST(DiffTsan, ParallelTriageMatchesSequential) {
   Side left{"left", {}};
   Side right{"right", {}};
@@ -431,15 +441,23 @@ TEST(DiffTsan, ParallelTriageMatchesSequential) {
   TriageOptions sequential;
   sequential.jobs = 1;
   DiffReport a = base;
-  triage(a, left, right, sequential);
+  TriageStats a_stats;
+  triage(a, left, right, sequential, &a_stats);
+  EXPECT_GT(a_stats.left.graph_states, 0u);
+  EXPECT_GT(a_stats.right.graph_states, 0u);
 
-  TriageOptions parallel;
-  parallel.jobs = 4;
-  DiffReport b = base;
-  triage(b, left, right, parallel);
-
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(encode_report(a), encode_report(b));
+  for (std::size_t jobs : {2, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    TriageOptions parallel;
+    parallel.jobs = jobs;
+    DiffReport b = base;
+    TriageStats b_stats;
+    triage(b, left, right, parallel, &b_stats);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(encode_report(a), encode_report(b));
+    EXPECT_EQ(b_stats.left.graph_states, a_stats.left.graph_states);
+    EXPECT_EQ(b_stats.right.graph_states, a_stats.right.graph_states);
+  }
 }
 
 }  // namespace

@@ -33,21 +33,23 @@ struct Pipeline {
   threat::ThreatModel tm;
 };
 
-const Pipeline& pipeline() {
-  static Pipeline* p = [] {
-    auto* out = new Pipeline;
-    instrument::TraceLogger trace;
-    testing::run_conformance(ue::StackProfile::cls(), trace);
-    extractor::ExtractionOptions opts;
-    opts.initial_state = "EMM_DEREGISTERED";
-    opts.chain_substates = false;
-    out->flat = extractor::extract_basic(trace.records(),
-                                         extractor::ue_signatures(ue::StackProfile::cls()), opts);
-    out->tm = ProChecker::build_threat_model(out->flat);
-    return out;
-  }();
-  return *p;
+const Pipeline& pipeline_of(const std::string& profile_name) {
+  static std::map<std::string, Pipeline> cache;
+  auto [it, fresh] = cache.try_emplace(profile_name);
+  Pipeline& p = it->second;
+  if (!fresh) return p;
+  const ue::StackProfile profile = *ue::StackProfile::by_name(profile_name);
+  instrument::TraceLogger trace;
+  testing::run_conformance(profile, trace);
+  extractor::ExtractionOptions opts;
+  opts.initial_state = "EMM_DEREGISTERED";
+  opts.chain_substates = false;
+  p.flat = extractor::extract_basic(trace.records(), extractor::ue_signatures(profile), opts);
+  p.tm = ProChecker::build_threat_model(p.flat);
+  return p;
 }
+
+const Pipeline& pipeline() { return pipeline_of("cls"); }
 
 std::vector<const PropertyDef*> select(const std::set<std::string>& ids) {
   std::vector<const PropertyDef*> out;
@@ -499,6 +501,129 @@ TEST(Supervisor, HeaderTagMismatchDiscardsForeignJournal) {
   EXPECT_EQ(run.resumed, 0u);  // foreign verdicts never leak in
   EXPECT_TRUE(contains(run.journal_error, "mismatch"));
   EXPECT_EQ(run.journal_records, sel.size());
+}
+
+// --- Several models under one pool ------------------------------------------
+
+std::vector<SupervisedRun> run_cls_srsue(const std::vector<const PropertyDef*>& sel,
+                                         const SupervisorOptions& opts) {
+  const Pipeline& cls = pipeline_of("cls");
+  const Pipeline& srsue = pipeline_of("srsue");
+  return run_supervised({{cls.tm, cls.flat, sel}, {srsue.tm, srsue.flat, sel}}, {}, {}, opts);
+}
+
+/// The one-model runs a two-model run must reproduce, model by model.
+std::vector<SupervisedRun> one_model_runs(const std::vector<const PropertyDef*>& sel,
+                                          const SupervisorOptions& opts) {
+  std::vector<SupervisedRun> out;
+  for (const char* name : {"cls", "srsue"}) {
+    const Pipeline& p = pipeline_of(name);
+    out.push_back(run_supervised(p.tm, p.flat, sel, {}, {}, opts));
+  }
+  return out;
+}
+
+TEST(SupervisorMulti, TwoModelRunEqualsOneModelRuns) {
+  std::vector<const PropertyDef*> all;
+  for (const PropertyDef& p : property_catalog()) all.push_back(&p);
+  SupervisorOptions ref_opts;
+  ref_opts.jobs = 4;
+  const std::vector<SupervisedRun> ref = one_model_runs(all, ref_opts);
+  for (std::size_t jobs : {1, 2, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SupervisorOptions opts;
+    opts.jobs = jobs;
+    const std::vector<SupervisedRun> runs = run_cls_srsue(all, opts);
+    ASSERT_EQ(runs.size(), 2u);
+    for (std::size_t m = 0; m < 2; ++m) {
+      // Status, note, trace, iterations, refinements and attempts.
+      expect_outcomes_equal(runs[m].outcomes, ref[m].outcomes);
+      EXPECT_GT(runs[m].graph_states, 0u);
+      EXPECT_EQ(runs[m].graph_states, ref[m].graph_states);
+      EXPECT_EQ(runs[m].graph_edges, ref[m].graph_edges);
+      EXPECT_EQ(runs[m].scan_answered, ref[m].scan_answered);
+      EXPECT_TRUE(runs[m].graph_note.empty());
+      EXPECT_EQ(runs[m].cancelled, 0u);
+    }
+  }
+}
+
+TEST(SupervisorMulti, CancelBeforeOrDuringBuildsCancelsEveryProperty) {
+  auto sel = select({"S01", "S02", "S05", "P04"});
+  for (bool during_build : {false, true}) {
+    SCOPED_TRACE(during_build ? "cancelled by the first build" : "cancelled before the run");
+    CancelToken token;
+    SupervisorOptions opts;
+    opts.jobs = 2;
+    opts.cancel = &token;
+    if (during_build) {
+      opts.build_fault_hook = [&token](std::size_t) { token.cancel(); };
+    } else {
+      token.cancel();
+    }
+    const std::vector<SupervisedRun> runs = run_cls_srsue(sel, opts);
+    ASSERT_EQ(runs.size(), 2u);
+    for (const SupervisedRun& run : runs) {
+      EXPECT_EQ(run.cancelled, sel.size());
+      EXPECT_EQ(run.graph_states, 0u);
+      EXPECT_TRUE(run.graph_note.empty()) << run.graph_note;
+      ASSERT_EQ(run.outcomes.size(), sel.size());
+      for (const PropertyOutcome& o : run.outcomes) {
+        EXPECT_EQ(o.failure, supervise::Failure::kCancelled);
+        EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
+      }
+    }
+  }
+}
+
+TEST(SupervisorMulti, MemCeilingDegradesEveryModelLikeItsOneModelRun) {
+  auto sel = select({"S05", "P04"});
+  SupervisorOptions opts;
+  opts.jobs = 2;
+  opts.mem_ceiling_bytes = 1;  // trips both builds and every search
+  const std::vector<SupervisedRun> runs = run_cls_srsue(sel, opts);
+  const std::vector<SupervisedRun> ref = one_model_runs(sel, opts);
+  ASSERT_EQ(runs.size(), 2u);
+  for (std::size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(runs[m].graph_states, 0u);
+    EXPECT_EQ(runs[m].graph_note, "build stopped at a budget");
+    expect_outcomes_equal(runs[m].outcomes, ref[m].outcomes);
+    EXPECT_EQ(runs[m].outcomes[0].failure, supervise::Failure::kMemCeiling);
+  }
+}
+
+TEST(SupervisorMulti, ThrowingBuildDegradesOnlyItsModel) {
+  auto sel = select({"S01", "S02", "S05", "P04"});
+  const std::vector<SupervisedRun> ref = one_model_runs(sel, {});
+  SupervisorOptions opts;
+  opts.jobs = 2;
+  opts.build_fault_hook = [](std::size_t model) {
+    if (model == 1) throw std::runtime_error("injected build crash");
+  };
+  const std::vector<SupervisedRun> runs = run_cls_srsue(sel, opts);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].graph_states, ref[0].graph_states);
+  EXPECT_TRUE(runs[0].graph_note.empty());
+  EXPECT_EQ(runs[1].graph_states, 0u);
+  EXPECT_EQ(runs[1].scan_answered, 0u);
+  EXPECT_EQ(runs[1].graph_note, "build failed: injected build crash");
+  // The per-property path reaches the graph path's verdicts.
+  for (std::size_t m = 0; m < 2; ++m) expect_outcomes_equal(runs[m].outcomes, ref[m].outcomes);
+}
+
+TEST(SupervisorMulti, JournalIsRefusedForMoreThanOneModel) {
+  const std::string path = tmp_path("journal_two_models.jsonl");
+  std::remove(path.c_str());
+  SupervisorOptions opts;
+  opts.journal_path = path;
+  const std::vector<SupervisedRun> runs = run_cls_srsue(select({"S05"}), opts);
+  ASSERT_EQ(runs.size(), 2u);
+  for (const SupervisedRun& run : runs) {
+    EXPECT_TRUE(run.aborted);
+    EXPECT_TRUE(contains(run.abort_reason, "one model")) << run.abort_reason;
+    EXPECT_TRUE(run.outcomes.empty());
+  }
+  EXPECT_FALSE(std::ifstream(path).good());  // nothing was written
 }
 
 // --- Journal lock and options-hash guards ------------------------------------
